@@ -427,10 +427,11 @@ def main(argv=None) -> int:
     up.add_argument("--eq", default=None)
     up.add_argument("--between", nargs=2, default=None,
                     metavar=("LO", "HI"))
-    up.add_argument("--isnull", action="store_true",
-                    help="WHERE pred_col IS NULL")
-    up.add_argument("--notnull", action="store_true",
-                    help="WHERE pred_col IS NOT NULL")
+    nulls = up.add_mutually_exclusive_group()
+    nulls.add_argument("--isnull", action="store_true",
+                       help="WHERE pred_col IS NULL")
+    nulls.add_argument("--notnull", action="store_true",
+                       help="WHERE pred_col IS NOT NULL")
     up.add_argument("--num-cpus", type=int, default=None)
     up.set_defaults(fn=cmd_update)
 

@@ -44,12 +44,14 @@ def _hash2(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     5 extends the sidecar to int key columns, the coverage Parquet's
     split-block blooms have). The step hash h2 is forced odd so the
     double-hash probe sequence h1 + i*h2 (mod m, m a power of two)
-    cycles through distinct positions."""
+    cycles through distinct positions. Integer keys of any width and
+    signedness hash their two's-complement 64-bit pattern (no checked
+    cast, so u64 keys >= 2^63 hash too; an int64 key and its uint64 probe
+    of the same bits agree)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if pa.types.is_integer(arr.type):
-        v = arr.cast(pa.int64()).to_numpy(zero_copy_only=False) \
-            .view(np.uint64)
+        v = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
         # two rounds of splitmix64-style finalization per stream —
         # vectorized, no byte-payload detour for fixed-width keys
         def mix(x, c1, c2):
@@ -108,7 +110,8 @@ def might_contain(m_bits: int, k: int, data: np.ndarray,
     if not isinstance(probes, (pa.Array, pa.ChunkedArray)):
         probes = list(probes)
         if probes and isinstance(probes[0], (int, np.integer)):
-            probes = pa.array([int(x) for x in probes], pa.int64())
+            probes = pa.array([int(x) % (1 << 64) for x in probes],
+                              pa.uint64())
         else:
             probes = pa.array([str(x) for x in probes], pa.string())
     if len(probes) == 0:

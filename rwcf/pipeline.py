@@ -20,6 +20,7 @@ groupby-on-source shuffle with salted keys for skew flattening
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import time
@@ -483,26 +484,11 @@ def encode_fragment_batch(batch: pa.Table, cfg: EncodeConfig,
                           resume: bool = True) -> pa.Table:
     """Stateless encode stage. Plain function on purpose: per-partition codec
     state (FSST tables, dictionaries) is rebuilt per partition by design, so
-    tasks on warm reused workers beat an actor-pool process spawn per stage.
-    ``EncoderActorPool`` below keeps the actor-pool variant for pipelines
-    that carry genuinely cross-partition state."""
+    tasks on warm reused workers beat an actor-pool process spawn per stage."""
     rows = []
     for desc in batch.to_pylist():
         rows.extend(encode_fragment(desc, cfg, resume))
     return manifest_rows_to_table(rows)
-
-
-class EncoderActorPool:
-    """Actor-pool encode stage (stateful variant): holds config + could hold
-    shared dictionaries/symbol tables across partitions. Same semantics as
-    ``encode_fragment_batch``."""
-
-    def __init__(self, cfg: EncodeConfig, resume: bool = True):
-        self.cfg = cfg
-        self.resume = resume
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return encode_fragment_batch(batch, self.cfg, self.resume)
 
 
 def decode_partition_batch(batch: pa.Table,
@@ -704,6 +690,46 @@ def _sliced_blocks(tbl: pa.Table, n_blocks: int):
     if total <= step:
         return rd.from_arrow(tbl)
     return rd.from_arrow([tbl.slice(i, step) for i in range(0, total, step)])
+
+
+def _zone_admits(st, vals: list | None = None, lo=None, hi=None) -> bool:
+    """Whether a zone map may hold a value of the SORTED probe list
+    ``vals``, or one in the closed range ``lo``..``hi`` (None = open
+    side). ``st`` is a manifest stats dict (``{"min", "max"}``) or a
+    per-page ``[min, max]`` pair; no zone map admits everything, and a
+    manifest zone map of an all-null column (min None) admits nothing —
+    NULL never matches a point or range predicate."""
+    if st is None:
+        return True
+    mn, mx = (st["min"], st["max"]) if isinstance(st, dict) else st
+    if mn is None:
+        return False
+    if vals is not None:
+        i = bisect.bisect_left(vals, mn)
+        return i < len(vals) and vals[i] <= mx
+    return (lo is None or mx >= lo) and (hi is None or mn <= hi)
+
+
+def _admitted_scan(out_dir: str, admits, scan, concurrency: int | None,
+                   snapshot: str | None = None):
+    """Driver-planned partition scan, the shared plan of the point readers
+    and deleters. The manifest is loaded once in the driver and only the
+    rows for which ``admits(row)`` holds (manifest zone maps, excluded
+    pids) become blocks; ``scan`` then runs as a ``batch_size=1`` UDF over
+    them, so a pruned partition costs neither a task nor a JSON decode.
+    The result is materialized: a consumer that reads the schema before
+    the rows (``to_arrow_refs``) would otherwise run the plan twice. When
+    no row is admitted no Ray job runs — ``scan`` of the empty manifest
+    table gives the typed empty result."""
+    import ray.data as rd
+    tbl = manifest_rows_to_table(
+        [r for r in load_manifest(out_dir, snapshot=snapshot) if admits(r)])
+    if not tbl.num_rows:
+        return rd.from_arrow(scan(tbl))
+    n = concurrency or _default_concurrency()
+    return _sliced_blocks(tbl, n * 2).map_batches(
+        scan, batch_size=1, batch_format="pyarrow", num_cpus=1,
+        **rayenv.remote_args()).materialize()
 
 
 def load_manifest(out_dir: str, include_replaced: bool = False,
@@ -2468,69 +2494,79 @@ def stats_only_minmax(out_dir: str, column: str = "n_tok",
     return pd.DataFrame([{"lo": int(agg["lo"]), "hi": int(agg["hi"])}])
 
 
+def _read_admitted_pages(row: dict, cm: dict, vals: list | None = None,
+                         lo=None, hi=None):
+    """Fetch and decode ONLY the pages of column ``cm`` whose per-page
+    zone maps admit the probes (see _zone_admits). Returns ``(values,
+    local_rows)`` — the decoded Arrow values (strings as ``pa.string()``)
+    and their partition-local row indices — or None when no page admits.
+    Null-free columns only: page spans index the dense value stream."""
+    skel = read_column_skeleton(row, cm["column"])
+    rows_pp = np.array([p.values_count for p in skel.pages], dtype=np.int64)
+    pe = np.cumsum(rows_pp)
+    stats = cm.get("page_stats") or [None] * len(rows_pp)
+    keep = [i for i, s in enumerate(stats) if _zone_admits(s, vals, lo, hi)]
+    if not keep:
+        return None
+    enc, _br, _bt = read_column_pages(row, cm["column"], keep)
+    arr = fmt.chunk_to_arrow(fmt.decode_chunk(enc), cm["dtype"])
+    if fmt.is_string(cm["dtype"]):
+        arr = arr.cast(pa.string())
+    return arr, np.concatenate(
+        [np.arange(pe[i] - rows_pp[i], pe[i], dtype=np.int64) for i in keep])
+
+
+def _column_meta(row: dict, column: str) -> dict | None:
+    return next((c for c in row["columns"] if c["column"] == column), None)
+
+
 def lookup_docs(out_dir: str, keys: list[str],
                 concurrency: int | None = None,
                 snapshot: str | None = None):
     """Distributed point lookup by doc_id over the encoded store — realized
     "efficient row skipping" (wills-columnar-format.org:187-194) at row
-    granularity: (1) partitions whose manifest doc_id range excludes every
-    probe are skipped with zero IO, (2) within a partition only doc_id
-    PAGES whose truncated string zone maps admit a probe are fetched,
-    (3) matched rows map through n_tok prefix sums to token ranges, and
-    ONLY the token pages covering those ranges are read and decoded.
-    When the store carries a Bloom sidecar (EncodeConfig
-    bloom_bits_per_key > 0) a partition that survives the range check is
-    additionally probed against its doc_id bloom — one tiny read that
-    skips the partition's data sections entirely unless some probe MAY
-    be present (the scale path for hash-like ids, where every
-    partition's [min,max] range admits every probe).
-    Returns (doc_id, tokens) rows for the found keys (detokenization is
-    the caller's concern — token streams need not be valid UTF-8).
+    granularity: (1) the DRIVER prunes every partition whose manifest
+    doc_id range excludes every probe, so a pruned partition costs no task
+    and no IO (_admitted_scan), (2) within an admitted partition only
+    doc_id PAGES whose truncated string zone maps admit a probe are
+    fetched, (3) matched rows map through n_tok prefix sums to token
+    ranges, and ONLY the token pages covering those ranges are read and
+    decoded. When the store carries a Bloom sidecar (EncodeConfig
+    bloom_bits_per_key > 0) the WORKER first probes an admitted
+    partition's doc_id bloom — one tiny read that skips the partition's
+    data sections entirely unless some probe MAY be present (the scale
+    path for hash-like ids, where every partition's [min,max] range
+    admits every probe; probing in the driver would serialize that IO).
+    Returns a materialized Dataset of (doc_id, tokens) rows for the found
+    keys (detokenization is the caller's concern — token streams need not
+    be valid UTF-8).
     ``snapshot`` looks up the store AS OF that committed snapshot —
     immutable partition files plus the snapshot's pid/tombstone view
     make historical point reads free (rollback_to_snapshot's payload
     source)."""
     keys = sorted(set(str(k) for k in keys))
-    n = concurrency or _default_concurrency()
-    ds = manifest_dataset(out_dir, n_blocks=n * 2, snapshot=snapshot)
     probe_arr = pa.array(keys, pa.string())
+
+    def admits(row: dict) -> bool:
+        return _zone_admits((row.get("stats") or {}).get("doc_id"), keys)
 
     def scan(batch: pa.Table) -> pa.Table:
         from . import bloom as _bloom
         out_ids: list[str] = []
         out_toks: list[np.ndarray] = []
         for row in manifest_table_to_rows(batch):
-            st = (row.get("stats") or {}).get("doc_id")
-            if st is not None and not any(
-                    st["min"] <= k <= st["max"] for k in keys):
-                continue
             bm = read_bloom(row, "doc_id")
             if bm is not None and not _bloom.might_contain(
                     bm[0], bm[1], bm[2], probe_arr).any():
                 continue
-            dcm = next(c for c in row["columns"] if c["column"] == "doc_id")
-            skel_d = read_column_skeleton(row, "doc_id")
-            rows_pp = np.array([p.values_count for p in skel_d.pages],
-                               dtype=np.int64)
-            pe = np.cumsum(rows_pp)
-            ps = pe - rows_pp
-            stats = dcm.get("page_stats")
-            if stats is not None:
-                keep = [i for i, (lo, hi) in enumerate(stats)
-                        if any(lo <= k <= hi for k in keys)]
-            else:
-                keep = list(range(len(skel_d.pages)))
-            if not keep:
+            got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
+            if got is None:
                 continue
-            enc_d, _br, _bt = read_column_pages(row, "doc_id", keep)
-            ids = fmt.chunk_to_arrow(fmt.decode_chunk(enc_d), "str") \
-                .cast(pa.string())
-            hit = pc.is_in(ids, value_set=pa.array(keys, pa.string())) \
+            ids, local_rows = got
+            hit = pc.is_in(ids, value_set=probe_arr) \
                 .to_numpy(zero_copy_only=False)
             if not hit.any():
                 continue
-            local_rows = np.concatenate(
-                [np.arange(ps[i], pe[i], dtype=np.int64) for i in keep])
             hit_rows = local_rows[hit]
             hit_idx = np.flatnonzero(hit)
             dr = row.get("deleted_rows")
@@ -2586,8 +2622,7 @@ def lookup_docs(out_dir: str, keys: list[str],
         return pa.table({"doc_id": pa.array(out_ids, pa.string()),
                          "tokens": la})
 
-    return ds.map_batches(scan, batch_size=1, batch_format="pyarrow",
-                          num_cpus=1, **rayenv.remote_args())
+    return _admitted_scan(out_dir, admits, scan, concurrency, snapshot)
 
 
 def _pid_lock(tpath: str, timeout_s: float = 30.0,
@@ -2669,8 +2704,10 @@ def delete_docs(out_dir: str, keys: list[str],
     tombstones to manifest rows). Compaction materializes deletes away
     and drops the tombstones.
 
-    Matching is index-grade, not a scan: partitions prune via manifest
-    stats + Bloom sidecar, then only admitted doc_id PAGES decode.
+    Matching is index-grade, not a scan: the DRIVER prunes partitions by
+    manifest zone maps and ``exclude_pids`` (_admitted_scan), the WORKER
+    then probes the admitted partition's Bloom sidecar, and only
+    admitted doc_id PAGES decode.
     Idempotent (re-deleting union-merges), and safe under CONCURRENT
     delete/upsert/merge jobs: each partition's tombstone commit runs
     under a per-pid lockfile (see _merge_tombstone), so racing jobs
@@ -2682,49 +2719,31 @@ def delete_docs(out_dir: str, keys: list[str],
     uses it so the freshly appended versions survive their own
     shadow pass."""
     keys = sorted(set(str(k) for k in keys))
-    n = concurrency or _default_concurrency()
-    ds = manifest_dataset(out_dir, n_blocks=n * 2)
+    probe_arr = pa.array(keys, pa.string())
     mdir = os.path.join(out_dir, "manifest")
     excl = frozenset(exclude_pids or ())
+
+    def admits(row: dict) -> bool:
+        return row["pid"] not in excl and _zone_admits(
+            (row.get("stats") or {}).get("doc_id"), keys)
 
     def scan(batch: pa.Table) -> pa.Table:
         from . import bloom as _bloom
         pids: list[str] = []
         counts: list[int] = []
         for row in manifest_table_to_rows(batch):
-            if row["pid"] in excl:
-                continue
-            st = (row.get("stats") or {}).get("doc_id")
-            if st is not None and not any(
-                    st["min"] <= k <= st["max"] for k in keys):
-                continue
             bm = read_bloom(row, "doc_id")
             if bm is not None and not _bloom.might_contain(
-                    bm[0], bm[1], bm[2], keys).any():
+                    bm[0], bm[1], bm[2], probe_arr).any():
                 continue
-            dcm = next(c for c in row["columns"] if c["column"] == "doc_id")
-            skel = read_column_skeleton(row, "doc_id")
-            rows_pp = np.array([p.values_count for p in skel.pages],
-                               dtype=np.int64)
-            pe = np.cumsum(rows_pp)
-            ps = pe - rows_pp
-            stats = dcm.get("page_stats")
-            if stats is not None:
-                keep = [i for i, (lo, hi) in enumerate(stats)
-                        if any(lo <= k <= hi for k in keys)]
-            else:
-                keep = list(range(len(skel.pages)))
-            if not keep:
+            got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
+            if got is None:
                 continue
-            enc, _br, _bt = read_column_pages(row, "doc_id", keep)
-            ids = fmt.chunk_to_arrow(fmt.decode_chunk(enc), "str") \
-                .cast(pa.string())
-            hit = pc.is_in(ids, value_set=pa.array(keys, pa.string())) \
+            ids, local = got
+            hit = pc.is_in(ids, value_set=probe_arr) \
                 .to_numpy(zero_copy_only=False)
             if not hit.any():
                 continue
-            local = np.concatenate(
-                [np.arange(ps[i], pe[i], dtype=np.int64) for i in keep])
             n_new = _merge_tombstone(mdir, row, local[hit])
             if not n_new:
                 continue
@@ -2733,8 +2752,12 @@ def delete_docs(out_dir: str, keys: list[str],
         return pa.table({"pid": pa.array(pids, pa.string()),
                          "n_deleted": pa.array(counts, pa.int64())})
 
-    res = ds.map_batches(scan, batch_size=1, batch_format="pyarrow",
-                         num_cpus=1, **rayenv.remote_args()).to_pandas()
+    return _deleted_counts(
+        _admitted_scan(out_dir, admits, scan, concurrency))
+
+
+def _deleted_counts(ds) -> dict:
+    res = ds.to_pandas()
     return {"partitions": int(len(res)),
             "rows_deleted": int(res["n_deleted"].sum()) if len(res) else 0}
 
@@ -2745,10 +2768,11 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     """Predicate delete on ANY row-aligned column (the role of Iceberg v2
     equality deletes / ``DELETE FROM t WHERE col IN (...)`` or
     ``BETWEEN lo AND hi``): resolves the predicate to position tombstones
-    through the same index-grade path every point reader uses — manifest
-    zone maps prune partitions, the Bloom sidecar (equality mode, when
-    present) prunes further, per-page zone maps keep only admitting
-    PAGES, and only those pages of ONLY the predicate column ever decode.
+    through the same index-grade path every point reader uses — the
+    DRIVER prunes partitions by manifest zone maps (_admitted_scan), the
+    WORKER probes the Bloom sidecar (equality mode, when present), then
+    per-page zone maps keep only admitting PAGES, and only those pages
+    of ONLY the predicate column ever decode.
     Partition data files are never rewritten; the committed tombstones
     are the same ``{pid}.del.json`` sidecars ``delete_docs`` writes, so
     every reader (decode_job, verify_job, lookup_docs, range_scan_docs,
@@ -2766,50 +2790,32 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
         raise ValueError("tokens is a flattened value stream, not "
                          "row-aligned; delete on a per-row column")
     vals = sorted(set(values)) if values is not None else None
-    n = concurrency or _default_concurrency()
-    ds = manifest_dataset(out_dir, n_blocks=n * 2)
     mdir = os.path.join(out_dir, "manifest")
     excl = frozenset(exclude_pids or ())
 
-    def admits(mn, mx) -> bool:
-        if vals is not None:
-            return any(mn <= v <= mx for v in vals)
-        if lo is not None and mx < lo:
-            return False
-        if hi is not None and mn > hi:
-            return False
-        return True
+    def admits(row: dict) -> bool:
+        # a column absent from an evolved store's older partitions holds
+        # no row the predicate can match
+        return row["pid"] not in excl \
+            and _column_meta(row, column) is not None \
+            and _zone_admits((row.get("stats") or {}).get(column),
+                             vals, lo, hi)
 
     def scan(batch: pa.Table) -> pa.Table:
         from . import bloom as _bloom
         pids: list[str] = []
         counts: list[int] = []
         for row in manifest_table_to_rows(batch):
-            if row["pid"] in excl:
+            cm = _column_meta(row, column)
+            bm = read_bloom(row, column) if vals is not None else None
+            # dtype-correct probes: int-key sidecars hash the fixed-width
+            # path, string sidecars the byte-payload path — a mismatched
+            # probe type would manufacture false negatives
+            if bm is not None and not _bloom.might_contain(
+                    bm[0], bm[1], bm[2],
+                    [str(v) for v in vals] if fmt.is_string(cm["dtype"])
+                    else [int(v) for v in vals]).any():
                 continue
-            st = (row.get("stats") or {}).get(column)
-            if st is not None and not admits(st["min"], st["max"]):
-                continue
-            cm = next((c for c in row["columns"] if c["column"] == column),
-                      None)
-            if cm is None:  # evolved store: column absent in this version
-                continue
-            if vals is not None:
-                # dtype-correct probes: int-key sidecars hash the
-                # fixed-width path (round 5), string sidecars the
-                # byte-payload path — a mismatched probe type would
-                # manufacture false negatives
-                bm = read_bloom(row, column)
-                if bm is not None:
-                    if fmt.is_string(cm["dtype"]):
-                        probes = pa.array([str(v) for v in vals],
-                                          pa.string())
-                    else:
-                        probes = pa.array([int(v) for v in vals],
-                                          pa.int64())
-                    if not _bloom.might_contain(bm[0], bm[1], bm[2],
-                                                probes).any():
-                        continue
             if cm.get("null_count"):
                 # nullable column: page spans index the DENSE value
                 # stream, so the selective-page path cannot produce
@@ -2822,25 +2828,10 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
                                          cm["dtype"])
                 local_base = np.nonzero(enc.validity)[0].astype(np.int64)
             else:
-                skel = read_column_skeleton(row, column)
-                rows_pp = np.array([p.values_count for p in skel.pages],
-                                   dtype=np.int64)
-                pe = np.cumsum(rows_pp)
-                ps = pe - rows_pp
-                pstats = cm.get("page_stats")
-                if pstats is not None:
-                    keep = [i for i, (pmn, pmx) in enumerate(pstats)
-                            if admits(pmn, pmx)]
-                else:
-                    keep = list(range(len(skel.pages)))
-                if not keep:
+                got = _read_admitted_pages(row, cm, vals, lo, hi)
+                if got is None:
                     continue
-                enc, _br, _bt = read_column_pages(row, column, keep)
-                arr = fmt.chunk_to_arrow(fmt.decode_chunk(enc),
-                                         cm["dtype"])
-                local_base = np.concatenate(
-                    [np.arange(ps[i], pe[i], dtype=np.int64)
-                     for i in keep])
+                arr, local_base = got
             if vals is not None:
                 hit = pc.is_in(arr, value_set=pa.array(vals, arr.type))
             else:
@@ -2863,10 +2854,8 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
         return pa.table({"pid": pa.array(pids, pa.string()),
                          "n_deleted": pa.array(counts, pa.int64())})
 
-    res = ds.map_batches(scan, batch_size=1, batch_format="pyarrow",
-                         num_cpus=1, **rayenv.remote_args()).to_pandas()
-    return {"partitions": int(len(res)),
-            "rows_deleted": int(res["n_deleted"].sum()) if len(res) else 0}
+    return _deleted_counts(
+        _admitted_scan(out_dir, admits, scan, concurrency))
 
 
 def upsert_docs(out_dir: str, new_rows: pa.Table,
@@ -2981,44 +2970,30 @@ def merge_docs(out_dir: str, source: pa.Table,
 def range_scan_docs(out_dir: str, lo: str, hi: str,
                     concurrency: int | None = None):
     """Index range scan: all (doc_id, n_tok) rows with lo <= doc_id <= hi
-    (lexicographic — the store's key order), pruned at partition level by
-    manifest string stats and at page level by the truncated string zone
-    maps; only admitted doc_id pages and the n_tok pages covering their
-    matches are decoded (the range analogue of lookup_docs)."""
-    n = concurrency or _default_concurrency()
-    ds = manifest_dataset(out_dir, n_blocks=n * 2)
+    (lexicographic — the store's key order), pruned at partition level in
+    the DRIVER by manifest string stats (_admitted_scan) and at page level
+    in the worker by the truncated string zone maps; only admitted doc_id
+    pages and the n_tok pages covering their matches are decoded (the
+    range analogue of lookup_docs). Returns a materialized Dataset."""
+
+    def admits(row: dict) -> bool:
+        return _zone_admits((row.get("stats") or {}).get("doc_id"),
+                            lo=lo, hi=hi)
 
     def scan(batch: pa.Table) -> pa.Table:
         out_ids: list = []
         out_n: list = []
         for row in manifest_table_to_rows(batch):
-            st = (row.get("stats") or {}).get("doc_id")
-            if st is not None and (st["max"] < lo or st["min"] > hi):
+            got = _read_admitted_pages(row, _column_meta(row, "doc_id"),
+                                       lo=lo, hi=hi)
+            if got is None:
                 continue
-            dcm = next(c for c in row["columns"] if c["column"] == "doc_id")
-            skel_d = read_column_skeleton(row, "doc_id")
-            rows_pp = np.array([p.values_count for p in skel_d.pages],
-                               dtype=np.int64)
-            pe = np.cumsum(rows_pp)
-            ps = pe - rows_pp
-            stats = dcm.get("page_stats")
-            if stats is not None:
-                keep = [i for i, (plo, phi) in enumerate(stats)
-                        if not (phi < lo or plo > hi)]
-            else:
-                keep = list(range(len(skel_d.pages)))
-            if not keep:
-                continue
-            enc_d, _br, _bt = read_column_pages(row, "doc_id", keep)
-            ids = fmt.chunk_to_arrow(fmt.decode_chunk(enc_d), "str") \
-                .cast(pa.string())
+            ids, local_rows = got
             hit = pc.and_(pc.greater_equal(ids, lo),
                           pc.less_equal(ids, hi)) \
                 .to_numpy(zero_copy_only=False)
             if not hit.any():
                 continue
-            local_rows = np.concatenate(
-                [np.arange(ps[i], pe[i], dtype=np.int64) for i in keep])
             hit_rows = local_rows[hit]
             hit_idx = np.flatnonzero(hit)
             dr = row.get("deleted_rows")
@@ -3043,17 +3018,14 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
             idx = np.searchsorted(kept_starts, hit_rows, side="right") - 1
             out_ids.append(ids.take(pa.array(hit_idx)))
             out_n.append(nvals[kcum[idx] + (hit_rows - kept_starts[idx])])
-        ids_arr = (pa.concat_arrays([a.combine_chunks()
-                                     if isinstance(a, pa.ChunkedArray)
-                                     else a for a in out_ids])
-                   if out_ids else pa.array([], pa.string()))
+        ids_arr = (pa.concat_arrays(out_ids) if out_ids
+                   else pa.array([], pa.string()))
         n_arr = (np.concatenate(out_n) if out_n
                  else np.empty(0, np.int64))
         return pa.table({"doc_id": ids_arr,
                          "n_tok": pa.array(n_arr, pa.int64())})
 
-    return ds.map_batches(scan, batch_size=1, batch_format="pyarrow",
-                          num_cpus=1, **rayenv.remote_args())
+    return _admitted_scan(out_dir, admits, scan, concurrency)
 
 
 def scan_column_pages(out_dir: str, column: str, page_pred,

@@ -48,6 +48,19 @@ def _segsum(k: np.ndarray, v: np.ndarray):
     return ks[seg], totals.astype(np.int64)
 
 
+def _pair_segsum(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """Group-sum of int64 ``v`` by the int64 key PAIR (a, b): returns
+    (distinct a, distinct b, per-pair totals), sorted by (a, b). Exact for
+    any int64 keys — no packing of the pair into one integer."""
+    order = np.lexsort((b, a))
+    a, b, v = a[order], b[order], v[order]
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    seg = np.flatnonzero(new)
+    totals = np.add.reduceat(v, seg) if seg.size else v[:0]
+    return a[seg], b[seg], totals.astype(np.int64)
+
+
 def _money_partial(t: pa.Table, key: str, price: str, disc: str,
                    out_key: str) -> pa.Table:
     """Per-batch partial: one (key, rev_scaled) row per distinct key.
@@ -2344,13 +2357,9 @@ def sole_failure_suppliers(lineitem, returnflag: str = "R",
         fail = pc.equal(t.column("l_returnflag"), returnflag) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         # distinct (order, supplier) with per-pair failure counts
-        key = ok * np.int64(1 << 20) + sk  # suppkey < 2^20 in fixtures
-        ukeys, fsum = _segsum(key, fail)
-        _, ones = _segsum(key, np.ones(key.size, dtype=np.int64))
-        return pa.table({
-            "ok": pa.array(ukeys // (1 << 20)),
-            "sk": pa.array(ukeys % (1 << 20)),
-            "fails": pa.array(fsum)})
+        uok, usk, fsum = _pair_segsum(ok, sk, fail)
+        return pa.table({"ok": pa.array(uok), "sk": pa.array(usk),
+                         "fails": pa.array(fsum)})
 
     rows = lineitem.select_columns(
         ["l_orderkey", "l_suppkey", "l_returnflag"]) \
@@ -2369,13 +2378,9 @@ def sole_failure_suppliers(lineitem, returnflag: str = "R",
             .to_numpy(zero_copy_only=False)
         fl = g.column("fails").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        key = ok * np.int64(1 << 20) + sk
-        # cross-batch re-distinct (a pair may appear in several batches)
-        ukeys, fsum = _segsum(key, fl)
-        ok = ukeys // (1 << 20)
-        sk = ukeys % (1 << 20)
-        order = np.argsort(ok, kind="stable")
-        ok, sk, fsum = ok[order], sk[order], fsum[order]
+        # cross-batch re-distinct (a pair may appear in several batches);
+        # the result is sorted by order key, as the segments below need
+        ok, sk, fsum = _pair_segsum(ok, sk, fl)
         starts = np.flatnonzero(np.concatenate(
             ([True], ok[1:] != ok[:-1])))
         seg = np.repeat(np.arange(starts.size),

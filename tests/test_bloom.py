@@ -202,3 +202,18 @@ def test_int_bloom_through_store(tmp_path, ray_session):
                  if _bloom.might_contain(*pipeline.read_bloom(r, "uid"),
                                          absent).any())
     assert admits <= max(1, len(rows) // 4)
+
+
+def test_u64_keys_above_int64_range():
+    # u64 keys >= 2^63 build without a checked cast, and probes of the
+    # same value — as a list of Python ints or as a u64 array — find them
+    keys = pa.array([2**63 + 5, 2**64 - 1, 3], pa.uint64())
+    bf = bloom.build(keys, bits_per_key=10)
+    assert bf["n_keys"] == 3
+    assert bloom.might_contain(bf["m_bits"], bf["k"], bf["data"], keys).all()
+    assert bloom.might_contain(bf["m_bits"], bf["k"], bf["data"],
+                               [2**63 + 5, 2**64 - 1, 3]).all()
+    # an int64 key and an int probe of the same value agree
+    bf = bloom.build(pa.array([-1, 2**62], pa.int64()))
+    assert bloom.might_contain(bf["m_bits"], bf["k"], bf["data"],
+                               [-1, 2**62]).all()

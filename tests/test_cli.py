@@ -197,3 +197,15 @@ def test_cli_sketch(tmp_path):
                 "--num-cpus", "4")
     assert r["built"] == r["partitions"] > 1
     assert abs(r["n_distinct_est"] - 300) / 300 < 0.05
+
+
+def test_cli_update_isnull_and_notnull_conflict(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "rwcf", "update", str(tmp_path),
+         "--set-col", "n_tok", "--value", "1", "--pred-col", "source",
+         "--isnull", "--notnull"],
+        capture_output=True, text=True, env=env, cwd=REPO)
+    assert out.returncode != 0
+    assert "not allowed with argument" in out.stderr

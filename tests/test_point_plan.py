@@ -1,0 +1,266 @@
+"""Driver-planned point reads and deletes (``pipeline._admitted_scan``).
+
+lookup_docs, range_scan_docs, delete_docs and delete_where prune
+partitions by their manifest zone maps in the driver and ship only the
+admitted manifest rows to the scan UDF; the Bloom sidecar is still probed
+in the worker. These tests check each against a filter over decode_job on
+a store that has a Bloom sidecar, a tombstone, an upsert and a snapshot,
+check which pids the UDF receives, and check that a call admitting no
+partition starts no Ray job.
+"""
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+from ray.data import Dataset
+from ray.data.dataset import MaterializedDataset
+
+from rwcf import fixtures, pipeline
+
+N_ROWS = 600
+#: tombstoned before the snapshot
+DELETED = fixtures.tokens_table(N_ROWS, seed=21).column("doc_id")[17].as_py()
+#: upserted after the snapshot: two replaced rows and one new doc
+UPSERTED = ["doc-000000000040", "doc-000000000300", "doc-000000999999"]
+
+
+def _build(d) -> tuple[str, str]:
+    """Encode the F1 table into small Bloom-indexed partitions, tombstone
+    one doc, snapshot, then upsert two live docs and one new one."""
+    tbl = fixtures.tokens_table(N_ROWS, seed=21)
+    src = str(d / "tokens.parquet")
+    pq.write_table(tbl, src, row_group_size=150)
+    out = str(d / "store")
+    cfg = pipeline.EncodeConfig(out_dir=out, partition_token_budget=20_000,
+                                bloom_bits_per_key=10)
+    pipeline.encode_job(src, cfg).materialize()
+    assert pipeline.delete_docs(out, [DELETED])["rows_deleted"] == 1
+    snap = pipeline.create_snapshot(out)["snapshot"]
+    new = fixtures.tokens_table(3, seed=22)
+    new = new.set_column(0, "doc_id", pa.array(UPSERTED, pa.string()))
+    pipeline.upsert_docs(out, new)
+    return out, snap
+
+
+@pytest.fixture
+def store(tmp_path, ray_session):
+    return _build(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_store(tmp_path_factory, ray_session):
+    """Read-only tests share one store."""
+    return _build(tmp_path_factory.mktemp("point_plan"))
+
+
+def _decoded(out, snapshot=None) -> pa.Table:
+    return pa.concat_tables(ray.get(
+        pipeline.decode_job(out, snapshot=snapshot).to_arrow_refs()))
+
+
+def _by_doc(t: pa.Table, cols) -> dict:
+    d = t.to_pydict()
+    return {d["doc_id"][i]: tuple(tuple(d[c][i]) if isinstance(d[c][i], list)
+                                  else d[c][i] for c in cols)
+            for i in range(t.num_rows)}
+
+
+def _filter(t: pa.Table, mask) -> pa.Table:
+    return t.filter(pa.array(np.asarray(mask, dtype=bool)))
+
+
+def _keys(decoded: pa.Table) -> list[str]:
+    ids = decoded.column("doc_id").to_pylist()
+    # live hits, the tombstoned doc, an in-range miss only the Bloom
+    # sidecar can reject, and an out-of-range miss
+    return ids[:2] + UPSERTED + [DELETED, "doc-000000000100x", "zzz"]
+
+
+@pytest.mark.parametrize("view", ["current", "snapshot"])
+def test_lookup_docs_matches_decode_filter(shared_store, view):
+    out, snap = shared_store
+    snapshot = snap if view == "snapshot" else None
+    dec = _decoded(out, snapshot)
+    keys = _keys(dec)
+    got = pipeline.lookup_docs(out, keys, snapshot=snapshot)
+    assert isinstance(got, MaterializedDataset)
+    want = _filter(dec, np.isin(dec.column("doc_id").to_pylist(), keys))
+    got_t = pa.Table.from_pandas(got.to_pandas(), preserve_index=False)
+    assert got_t.num_rows == want.num_rows
+    assert _by_doc(got_t, ["tokens"]) == _by_doc(want, ["tokens"])
+    # the two views differ: the upsert replaced rows after the snapshot
+    if view == "snapshot":
+        assert UPSERTED[2] not in _by_doc(got_t, ["tokens"])
+    else:
+        assert UPSERTED[2] in _by_doc(got_t, ["tokens"])
+
+
+def test_range_scan_docs_matches_decode_filter(shared_store):
+    out, _snap = shared_store
+    dec = _decoded(out)
+    lo, hi = "doc-000000000010", "doc-000000000045"
+    got = pipeline.range_scan_docs(out, lo, hi).to_pandas()
+    ids = np.array(dec.column("doc_id").to_pylist())
+    want = _filter(dec, (ids >= lo) & (ids <= hi))
+    assert sorted(zip(got["doc_id"], got["n_tok"])) == sorted(
+        zip(want.column("doc_id").to_pylist(),
+            want.column("n_tok").to_pylist()))
+
+
+def test_delete_docs_matches_decode_filter(store):
+    out, _snap = store
+    before = _decoded(out)
+    keys = _keys(before)
+    res = pipeline.delete_docs(out, keys)
+    ids = np.array(before.column("doc_id").to_pylist())
+    gone = np.isin(ids, keys)
+    assert res["rows_deleted"] == int(gone.sum()) > 0
+    assert _by_doc(_decoded(out), ["tokens"]) == \
+        _by_doc(_filter(before, ~gone), ["tokens"])
+    # idempotent: nothing new to delete
+    assert pipeline.delete_docs(out, keys)["rows_deleted"] == 0
+
+
+@pytest.mark.parametrize("pred", ["values", "range"])
+def test_delete_where_matches_decode_filter(store, pred):
+    out, _snap = store
+    before = _decoded(out)
+    ntok = np.asarray(before.column("n_tok").to_pylist())
+    if pred == "values":
+        vals = sorted({int(v) for v in ntok[::37]})
+        res = pipeline.delete_where(out, "n_tok", values=vals)
+        gone = np.isin(ntok, vals)
+    else:
+        lo, hi = int(np.percentile(ntok, 40)), int(np.percentile(ntok, 45))
+        res = pipeline.delete_where(out, "n_tok", lo=lo, hi=hi)
+        gone = (ntok >= lo) & (ntok <= hi)
+    assert res["rows_deleted"] == int(gone.sum()) > 0
+    assert _by_doc(_decoded(out), ["n_tok", "tokens"]) == \
+        _by_doc(_filter(before, ~gone), ["n_tok", "tokens"])
+
+
+def _spy(monkeypatch) -> list:
+    """Replace every scan UDF by one that reports the pids it receives."""
+    seen: list = []
+    orig = pipeline._admitted_scan
+
+    def spy(out_dir, admits, scan, concurrency, snapshot=None):
+        def echo(batch: pa.Table) -> pa.Table:
+            return pa.table({"pid": batch.column("pid"),
+                             "n_deleted": pa.array([0] * batch.num_rows,
+                                                   pa.int64())})
+        ds = orig(out_dir, admits, echo, concurrency, snapshot)
+        seen.append(sorted(p for t in ray.get(ds.to_arrow_refs())
+                           for p in t.column("pid").to_pylist()))
+        return ds
+
+    monkeypatch.setattr(pipeline, "_admitted_scan", spy)
+    return seen
+
+
+def _zone(rows, column, pred) -> list[str]:
+    return sorted(r["pid"] for r in rows
+                  if pred(r["stats"][column]["min"],
+                          r["stats"][column]["max"]))
+
+
+def test_scan_udf_receives_zone_admitted_pids(shared_store, monkeypatch):
+    out, snap = shared_store
+    rows = pipeline.load_manifest(out)
+    keys = ["doc-000000000005", "doc-000000000300", "doc-000000000301x"]
+    want = _zone(rows, "doc_id",
+                 lambda mn, mx: any(mn <= k <= mx for k in keys))
+    assert 0 < len(want) < len(rows)
+    seen = _spy(monkeypatch)
+    pipeline.lookup_docs(out, keys)
+    pipeline.delete_docs(out, keys, exclude_pids={want[0]})
+    assert seen == [want, want[1:]]
+
+    seen.clear()
+    snap_rows = pipeline.load_manifest(out, snapshot=snap)
+    pipeline.lookup_docs(out, keys, snapshot=snap)
+    assert seen == [_zone(snap_rows, "doc_id",
+                          lambda mn, mx: any(mn <= k <= mx for k in keys))]
+
+    seen.clear()
+    lo, hi = "doc-000000000100", "doc-000000000120"
+    pipeline.range_scan_docs(out, lo, hi)
+    pipeline.delete_where(out, "n_tok", lo=300, hi=310)
+    pipeline.delete_where(out, "n_tok", values=[7, 4096])
+    assert seen == [
+        _zone(rows, "doc_id", lambda mn, mx: mx >= lo and mn <= hi),
+        _zone(rows, "n_tok", lambda mn, mx: mx >= 300 and mn <= 310),
+        _zone(rows, "n_tok", lambda mn, mx: any(mn <= v <= mx
+                                                for v in (7, 4096)))]
+
+
+def test_zero_admitted_call_runs_no_job(shared_store, monkeypatch):
+    out, snap = shared_store
+
+    def no_job(*a, **k):
+        raise AssertionError("a call that admits no partition ran a job")
+
+    monkeypatch.setattr(Dataset, "map_batches", no_job)
+    got = pipeline.lookup_docs(out, ["zzz", "a"])
+    assert isinstance(got, MaterializedDataset) and got.count() == 0
+    assert got.schema().base_schema == pa.schema(
+        [("doc_id", pa.string()), ("tokens", pa.list_(pa.int32()))])
+    got = pipeline.lookup_docs(out, ["zzz"], snapshot=snap)
+    assert isinstance(got, MaterializedDataset) and got.count() == 0
+    got = pipeline.range_scan_docs(out, "zzz", "zzzz")
+    assert isinstance(got, MaterializedDataset) and got.count() == 0
+    assert got.schema().base_schema == pa.schema(
+        [("doc_id", pa.string()), ("n_tok", pa.int64())])
+    assert pipeline.delete_docs(out, ["zzz"]) == \
+        {"partitions": 0, "rows_deleted": 0}
+    assert pipeline.delete_where(out, "n_tok", lo=10**9) == \
+        {"partitions": 0, "rows_deleted": 0}
+    assert pipeline.delete_where(out, "no_such_column", values=[1]) == \
+        {"partitions": 0, "rows_deleted": 0}
+
+
+def test_delete_where_u64_bloom_key(tmp_path, ray_session):
+    """A u64 key column >= 2^63 builds its Bloom sidecar, and an equality
+    delete probes it without a false negative."""
+    tbl = fixtures.tokens_table(150, seed=23)
+    uid = np.arange(tbl.num_rows, dtype=np.uint64) + np.uint64(2**63)
+    tbl = tbl.append_column("uid", pa.array(uid, pa.uint64()))
+    src = str(tmp_path / "u.parquet")
+    pq.write_table(tbl, src, row_group_size=50)
+    out = str(tmp_path / "enc")
+    cfg = pipeline.EncodeConfig(
+        out_dir=out, partition_token_budget=10_000,
+        columns=["doc_id", "tokens", "n_tok", "source", "uid"],
+        bloom_bits_per_key=10, bloom_columns=("doc_id", "uid"))
+    pipeline.encode_job(src, cfg).materialize()
+    assert all("uid" in r["bloom"] for r in pipeline.load_manifest(out))
+    res = pipeline.delete_where(out, "uid", values=[2**63 + 5, 7])
+    assert res["rows_deleted"] == 1
+    left = pipeline.decode_job(out, columns=["uid"]).to_pandas()["uid"]
+    assert len(left) == tbl.num_rows - 1 and 2**63 + 5 not in set(left)
+
+
+def test_delete_where_prunes_all_null_partitions(tmp_path, ray_session):
+    """A partition whose predicate column is all NULL has the zone map
+    (None, None); NULL matches no predicate, so the driver prunes it
+    instead of comparing None with the probes."""
+    tbl = fixtures.tokens_table(300, seed=24)
+    idx = np.arange(tbl.num_rows)
+    tbl = tbl.append_column("score", pa.array(idx % 50, pa.int64(),
+                                              mask=idx < 100))
+    src = str(tmp_path / "s.parquet")
+    pq.write_table(tbl, src, row_group_size=100)
+    out = str(tmp_path / "enc")
+    cfg = pipeline.EncodeConfig(
+        out_dir=out, partition_token_budget=40_000,
+        columns=["doc_id", "tokens", "n_tok", "source", "score"])
+    pipeline.encode_job(src, cfg).materialize()
+    assert any(r["stats"]["score"]["min"] is None
+               for r in pipeline.load_manifest(out))
+    assert pipeline.delete_where(out, "score", values=[7, 30]) \
+        ["rows_deleted"] == 8
+    assert pipeline.delete_where(out, "score", lo=40)["rows_deleted"] == 40
+    left = pipeline.decode_job(out, columns=["score"]).to_pandas()["score"]
+    assert len(left) == 252 and left.isna().sum() == 100

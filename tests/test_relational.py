@@ -771,3 +771,31 @@ def test_r4_tail_query_matches_oracle(ray_session, name):
     assert sorted(out.columns) == sorted(exp.columns)
     pd.testing.assert_frame_equal(canon(out), canon(exp),
                                   check_dtype=False)
+
+
+def test_sole_failure_suppliers_wide_and_negative_suppkeys(ray_session):
+    # (orderkey, suppkey) pairs are grouped as pairs, not packed into one
+    # integer: suppkeys >= 2^20 or < 0 must neither merge with another
+    # order's pairs nor come back changed
+    import pyarrow as pa
+    import ray.data as rd
+
+    import __ray_entry__ as entry_mod
+    from rwcf.relational import sole_failure_suppliers
+
+    big = (1 << 20) + 3
+    li = pd.DataFrame({
+        "l_orderkey": [1, 1, 1, 2, 2, 2, 4, 4, 5, 5, 6, 6, 6],
+        "l_suppkey": [big, big, 5, 3, 7, 7, 11, 12, -1, 9, 8, 9, -1],
+        "l_returnflag": ["R", "N", "N", "N", "R", "N", "R", "R", "R",
+                         "N", "R", "N", "N"],
+    })
+    out = sole_failure_suppliers(
+        rd.from_arrow(pa.Table.from_pandas(li)), buckets=4)
+    con = duckdb.connect()
+    con.register("lineitem", li)
+    exp = con.execute(entry_mod.oracle_sql()["sole_failure_suppliers"]) \
+        .fetchdf()
+    assert sorted(exp["s_suppkey"]) == sorted([big, 7, -1, 8])
+    pd.testing.assert_frame_equal(out.reset_index(drop=True), exp,
+                                  check_dtype=False)
