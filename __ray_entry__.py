@@ -6949,6 +6949,7 @@ def oracle_sql() -> dict[str, str]:
             'SELECT * FROM (VALUES '
             "('file_missing', CAST(0 AS BIGINT)), "
             "('file_truncated', CAST(0 AS BIGINT)), "
+            "('file_in_store', CAST(0 AS BIGINT)), "
             "('page_counts', CAST(0 AS BIGINT)), "
             "('tombstone_range', CAST(0 AS BIGINT)), "
             "('bloom_sidecar', CAST(0 AS BIGINT)), "

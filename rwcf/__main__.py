@@ -82,6 +82,9 @@ def cmd_stats(args) -> int:
     from . import pipeline
     rows = pipeline.load_manifest(args.input)
     by_codec: dict[str, int] = {}
+    # why each codec was chosen: per column, the choices, the selector's
+    # byte estimate against the stored section bytes, and time choosing
+    sel: dict[str, dict] = {}
     enc = dec = toks = 0
     for r in rows:
         enc += r["encoded_bytes"]
@@ -90,12 +93,25 @@ def cmd_stats(args) -> int:
         for c in r["columns"]:
             key = f"{c['column']}:{c['codec']}"
             by_codec[key] = by_codec.get(key, 0) + c["length"]
+            s = sel.setdefault(c["column"], {
+                "codecs": {}, "estimate_bytes": 0, "stored_bytes": 0,
+                "select_ms": 0.0})
+            s["codecs"][c["codec"]] = s["codecs"].get(c["codec"], 0) + 1
+            if c.get("estimate", -1) >= 0:  # -1: no finite estimate
+                s["estimate_bytes"] += c["estimate"]
+                s["stored_bytes"] += c["length"]
+            s["select_ms"] += c.get("select_ms", 0.0)
+    for s in sel.values():
+        s["estimate_error"] = round(
+            s["estimate_bytes"] / max(1, s["stored_bytes"]) - 1, 4)
+        s["select_ms"] = round(s["select_ms"], 3)
     print(json.dumps({
         "partitions": len(rows), "tokens": toks,
         "encoded_bytes": enc, "decoded_bytes": dec,
         "compression_ratio": round(dec / max(1, enc), 3),
         "bytes_per_token": round(enc / max(1, toks), 4),
         "bytes_by_column_codec": dict(sorted(by_codec.items())),
+        "selector": dict(sorted(sel.items())),
     }))
     return 0
 

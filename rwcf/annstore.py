@@ -185,8 +185,7 @@ def append_ivf_store(ds, out_dir: str, run_tag: str,
             pid = f"ivf{c:05d}-{tag}-p{j:03d}"
             mpath = os.path.join(cfg.manifest_dir, f"{pid}.json")
             if resume and os.path.exists(mpath):
-                with open(mpath) as f:
-                    rows.append(json.load(f))
+                rows.append(pipeline.read_manifest_row(mpath))
                 continue
             rows.append(pipeline.encode_partition(
                 body.slice(s, e - s), pid, cfg,

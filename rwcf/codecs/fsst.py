@@ -64,33 +64,38 @@ def _free_codes(payload: np.ndarray) -> np.ndarray:
 def _candidate_gains(corpus: bytes) -> list[tuple[int, bytes]]:
     """(gain, substring) candidates via vectorized window counting.
 
-    Windows are keyed as little-endian uint64 integers (length <= 8 bytes),
-    so the unique/count pass is an integer sort, ~5x faster than memcmp
-    sorting of void views."""
+    Each 8-byte window is keyed as a big-endian uint64, so one sort of the
+    keys serves every symbol length: windows sharing an L-byte prefix are
+    contiguous in that order, and a neighbour compare of ``key >> 8(8-L)``
+    finds each length's groups. Among equal gains at the per-length
+    shortlist cut, every tied candidate is kept."""
     buf = np.frombuffer(corpus, dtype=np.uint8)
     n = buf.size
+    if n < 2:
+        return []
     padded = np.zeros(n + 8, dtype=np.uint8)
     padded[:n] = buf
-    # w64[i] = 8 bytes starting at i, as LE uint64
+    # w64[i] = 8 bytes starting at i, as BE uint64
     w64 = np.zeros(n, dtype=np.uint64)
     for j in range(8):
-        w64 |= padded[j:j + n].astype(np.uint64) << np.uint64(8 * j)
+        w64 |= padded[j:j + n].astype(np.uint64) << np.uint64(8 * (7 - j))
+    order = np.argsort(w64)
+    skeys = w64[order]
     out: list[tuple[int, bytes]] = []
-    for L in range(2, _MAX_SYM_LEN + 1):
-        if n < L:
-            break
-        keys = w64[: n - L + 1]
-        if L < 8:
-            keys = keys & np.uint64((1 << (8 * L)) - 1)
-        uniq, first, counts = np.unique(keys, return_index=True,
-                                        return_counts=True)
-        gains = (L - 1) * counts.astype(np.int64) - (L + 2)
+    for L in range(2, min(_MAX_SYM_LEN, n) + 1):
+        valid = order <= n - L  # windows that end inside the corpus
+        idx = order[valid]
+        pre = skeys[valid] >> np.uint64(8 * (8 - L))
+        starts = np.flatnonzero(np.concatenate(([True], pre[1:] != pre[:-1])))
+        counts = np.diff(np.append(starts, pre.size))
+        gains = (L - 1) * counts - (L + 2)
         good = np.flatnonzero(gains > 0)
         if good.size > 4 * _BATCH:  # only the top slice can ever be picked
-            good = good[np.argpartition(gains[good], -4 * _BATCH)[-4 * _BATCH:]]
-        for i in good:
-            s = int(first[i])
-            out.append((int(gains[i]), buf[s:s + L].tobytes()))
+            cut = np.partition(gains[good], -4 * _BATCH)[-4 * _BATCH]
+            good = good[gains[good] >= cut]
+        first = np.minimum.reduceat(idx, starts)[good]
+        for g, s in zip(gains[good].tolist(), first.tolist()):
+            out.append((g, buf[s:s + L].tobytes()))
     out.sort(reverse=True)
     return out
 
@@ -98,7 +103,7 @@ def _candidate_gains(corpus: bytes) -> list[tuple[int, bytes]]:
 def _train(sample_corpus: bytes, codes: list[int], sep: int) -> list[tuple[int, bytes]]:
     """Greedy symbol selection; returns [(code_byte, symbol_bytes)] in
     application order. Counting is numpy-vectorized (sliding windows +
-    unique) — the Python-level cost per round is only the top-K pick."""
+    one sort) — the Python-level cost per round is only the top-K pick."""
     symbols: list[tuple[int, bytes]] = []
     corpus = sample_corpus
     forbidden = {sep} | set(codes)
@@ -169,9 +174,10 @@ class FsstCodec(base.Codec):
 
     def __init__(self):
         # symbols trained during estimate_size, reusable by encode for the
-        # same chunk (keyed by the full chunk's row/byte totals — a miss or
-        # stale hit only costs optimality, never correctness, because codes
-        # are revalidated against the full payload's free-byte set below)
+        # same chunk (keyed by the selector sample's size and content — a
+        # miss or stale hit only costs optimality, never correctness,
+        # because codes are revalidated against the full payload's
+        # free-byte set below)
         self._memo: dict[tuple, list[tuple[int, bytes]]] = {}
 
     def supports(self, dtype: str) -> bool:
@@ -200,7 +206,7 @@ class FsstCodec(base.Codec):
         if free.size >= 2 and payload.size:
             from .. import selector
             s_len, s_pay = selector.sample_chunk((lengths, payload), dtype)
-            key = (lengths.size, payload.size, _sample_fingerprint(s_len, s_pay))
+            key = (s_len.size, s_pay.size, _sample_fingerprint(s_len, s_pay))
             symbols, sep = self._usable_cached(key, free)
             if symbols is None:
                 sep = int(free[0])
@@ -271,9 +277,10 @@ class FsstCodec(base.Codec):
             return math.inf
         if len(self._memo) > 16:
             self._memo.clear()
-        # keyed by totals + sample-content fingerprint (the selector's sample
-        # is deterministic, so encode recomputes the identical key)
-        self._memo[(n_total, payload_total,
+        # keyed by the sample alone: the selector's sample is deterministic
+        # and a sample is its own sample, so encoding the chunk or the
+        # sample itself recomputes the identical key
+        self._memo[(lengths.size, payload.size,
                     _sample_fingerprint(lengths, payload))] = symbols
         enc = corpus
         for code, sym in symbols:

@@ -82,9 +82,7 @@ def encode_grouped_by_source(input_paths, cfg: EncodeConfig,
         pid = f"src-{safe}-s{salt:04d}"
         mpath = os.path.join(cfg.manifest_dir, f"{pid}.json")
         if resume and os.path.exists(mpath):
-            import json
-            with open(mpath) as f:
-                return manifest_rows_to_table([json.load(f)])
+            return manifest_rows_to_table([pipeline.read_manifest_row(mpath)])
         body = g.drop_columns(["salt"])
         # keep a deterministic in-partition order for stable checksums
         order = pc.sort_indices(body.column("doc_id"))

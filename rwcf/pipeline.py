@@ -62,6 +62,8 @@ class EncodeConfig:
     #: skipping saves disk IO too, not just decode CPU — a whole-section
     #: zstd stream is not seekable (the round-1 caveat this removes).
     #: "zstd" keeps the whole-section stream; None stores raw.
+    #: Under either zstd transport the codec selector ranks its finalists
+    #: by stored (zstd-1 framed) bytes; with None it ranks by raw size.
     transport: str | None = "zstd-page"
     #: Bloom sidecar bits per key over each string column named in
     #: ``bloom_columns`` (0 = off, the default). Zone maps cannot prune
@@ -260,7 +262,8 @@ def encode_partition(tbl: pa.Table, pid: str, cfg: EncodeConfig,
     decoded_bytes = 0
     for name in tbl.column_names:
         chunk, dtype, validity = chunks[name]
-        enc, choice = selector.encode_auto(chunk, dtype, cfg.page_target, cfg.codecs)
+        enc, choice = selector.encode_auto(chunk, dtype, cfg.page_target,
+                                           cfg.codecs, cfg.transport)
         if validity is not None:
             enc.validity = validity  # v2 footer carries the run bitmap
         blob = fmt.write_column_file(enc)
@@ -290,7 +293,8 @@ def encode_partition(tbl: pa.Table, pid: str, cfg: EncodeConfig,
             # decode time for half the bytes of a decoded-chunk crc; codec
             # fidelity itself is proven by verify_job + the codec test suite
             "crc": zlib.crc32(blob),
-            "estimate": choice.estimate, "decoded_bytes": dec_b,
+            "estimate": choice.estimate,
+            "select_ms": round(choice.select_ms, 3), "decoded_bytes": dec_b,
         })
         sections.append(blob)
         offset += len(blob)
@@ -360,12 +364,45 @@ def encode_partition(tbl: pa.Table, pid: str, cfg: EncodeConfig,
         row["bloom_bytes"] = bloom_bytes
     if extra:
         row.update(extra)
-    mpath = os.path.join(cfg.manifest_dir, f"{pid}.json")
+    commit_manifest_row(cfg.out_dir, row)  # commit point: row lands last
+    return row
+
+
+def commit_manifest_row(out_dir: str, row: dict) -> None:
+    """Atomically write ``row`` as ``manifest/<pid>.json`` (tmp +
+    rename). The partition file is stored relative to the store root, so
+    a copied store reads, compacts and collects its own files; readers
+    resolve it through :func:`read_manifest_row` / ``load_manifest``."""
+    mpath = os.path.join(out_dir, "manifest", f"{row['pid']}.json")
+    rel = _store_relative(out_dir, row["file"])
     mtmp = mpath + f".tmp{os.getpid()}"
     with open(mtmp, "w") as f:
-        json.dump(row, f)
-    os.replace(mtmp, mpath)  # commit point: manifest row lands last
+        json.dump(dict(row, file=rel) if rel else row, f)
+    os.replace(mtmp, mpath)
+
+
+def _store_relative(out_dir: str, path: str) -> str | None:
+    """``path`` relative to the store root, or None if it lies outside."""
+    rel = os.path.relpath(path, out_dir)
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return None
+    return rel
+
+
+def _resolve_file(row: dict, out_dir: str) -> dict:
+    """Store-relative ``file`` -> a path the process can open. Rows
+    written before paths were store-relative hold absolute paths and are
+    returned as they are."""
+    if not os.path.isabs(row["file"]):
+        row["file"] = os.path.join(out_dir, row["file"])
     return row
+
+
+def read_manifest_row(mpath: str) -> dict:
+    """One committed ``manifest/<pid>.json`` row, its file resolved."""
+    with open(mpath) as f:
+        row = json.load(f)
+    return _resolve_file(row, os.path.dirname(os.path.dirname(mpath)))
 
 
 def decode_partition(row: dict, columns: list[str] | None = None,
@@ -471,8 +508,7 @@ def encode_fragment(desc: dict, cfg: EncodeConfig, resume: bool = True) -> list[
             continue
         mpath = os.path.join(cfg.manifest_dir, f"{pid}.json")
         if resume and os.path.exists(mpath):
-            with open(mpath) as f:
-                out.append(json.load(f))  # already committed — skip work
+            out.append(read_manifest_row(mpath))  # committed — skip work
             continue
         lineage = {"path": desc["path"], "row_group": desc["row_group"],
                    "row_start": a, "row_count": b - a}
@@ -808,6 +844,7 @@ def load_manifest(out_dir: str, include_replaced: bool = False,
             elif name.startswith("compacted-") and name.endswith(".parquet"):
                 rows.extend(manifest_table_to_rows(pq.read_table(path)))
     for r in rows:
+        _resolve_file(r, out_dir)
         if r["pid"] in tombs:
             r["deleted_rows"] = tombs[r["pid"]]
     # dedupe by pid: a crash between the compaction shard commit and the
@@ -979,8 +1016,7 @@ def compact_partitions(out_dir: str, target_tokens: int = 8_000_000,
                 members = json.loads(d["members"])
                 mpath = os.path.join(cfg.manifest_dir, f"{d['gpid']}.json")
                 if os.path.exists(mpath):  # resume: group already committed
-                    with open(mpath) as f:
-                        out.append(json.load(f))
+                    out.append(read_manifest_row(mpath))
                     continue
                 from . import schema as _sch
                 tbl = pa.concat_tables(
@@ -1564,17 +1600,12 @@ def merge_branch(out_dir: str, name: str) -> dict:
             json.dump(dict(ref, merged=True), f)
         os.replace(tmp, bpath)  # THE merge commit
     # cleanup: demote branch rows to plain main rows, then drop the ref
-    mdir = os.path.join(out_dir, "manifest")
     merged = 0
     for r in load_manifest(out_dir, include_replaced=True):
         if r.get("branch") != name:
             continue
-        r = {k: v for k, v in r.items() if k != "branch"}
-        mpath = os.path.join(mdir, f"{r['pid']}.json")
-        mtmp = mpath + f".tmp{os.getpid()}"
-        with open(mtmp, "w") as f:
-            json.dump(r, f)
-        os.replace(mtmp, mpath)
+        commit_manifest_row(
+            out_dir, {k: v for k, v in r.items() if k != "branch"})
         merged += 1
     os.remove(os.path.join(out_dir, "branches", f"{name}.json"))
     return {"branch": name, "merged_partitions": merged,
@@ -1675,7 +1706,8 @@ def gc_store(out_dir: str) -> dict:
     for r in all_rows:
         if r["pid"] not in replaced or r["pid"] in pinned:
             continue
-        if os.path.exists(r["file"]):
+        if _store_relative(out_dir, r["file"]) \
+                and os.path.exists(r["file"]):
             os.remove(r["file"])
             files += 1
         for suffix in (".json", ".del.json"):
@@ -3103,9 +3135,9 @@ def verify_job(out_dir: str, concurrency: int | None = None,
 
 #: invariant names fsck_store emits, in report order (pinned so the
 #: contract oracle can enumerate them)
-FSCK_CHECKS = ("file_missing", "file_truncated", "page_counts",
-               "tombstone_range", "bloom_sidecar", "section_crc",
-               "replaces_dangling", "snapshot_dangling")
+FSCK_CHECKS = ("file_missing", "file_in_store", "file_truncated",
+               "page_counts", "tombstone_range", "bloom_sidecar",
+               "section_crc", "replaces_dangling", "snapshot_dangling")
 
 
 def fsck_store(out_dir: str, deep: bool = False,
@@ -3118,6 +3150,9 @@ def fsck_store(out_dir: str, deep: bool = False,
 
     - ``file_missing`` / ``file_truncated``: partition file present and
       at least as long as every committed section/bloom extent.
+    - ``file_in_store``: the row's partition file lies inside this store
+      (a copied store whose rows still name the original's files would
+      read, and on compaction delete, the original's data).
     - ``page_counts``: per column, the page layout's value counts (from
       the trailer frame ONLY — payload stays on disk) sum to the
       manifest's ``n_values``.
@@ -3175,6 +3210,8 @@ def fsck_store(out_dir: str, deep: bool = False,
             pid = row["pid"]
             exists = os.path.exists(row["file"])
             emit(pid, "file_missing", exists)
+            emit(pid, "file_in_store",
+                 _store_relative(out_dir, row["file"]) is not None)
             extents = [c["offset"] + c["length"] for c in row["columns"]]
             extents += [b["offset"] + b["length"]
                         for b in (row.get("bloom") or {}).values()]
@@ -3365,11 +3402,7 @@ def publish_staged(out_dir: str, staging_id: str,
         row = dict(row, file=dst)
         if branch is not None:
             row["branch"] = branch
-        mpath = os.path.join(mdir, f"{row['pid']}.json")
-        mtmp = mpath + f".tmp{os.getpid()}"
-        with open(mtmp, "w") as f:
-            json.dump(row, f)
-        os.replace(mtmp, mpath)  # visibility flip
+        commit_manifest_row(out_dir, row)  # visibility flip
         published += 1
     shutil.rmtree(sdir, ignore_errors=True)
     return {"staging_id": staging_id, "published": published,

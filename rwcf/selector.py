@@ -3,30 +3,57 @@
 Generalizes the reference's guidance that "the most surefire way to
 determine if RLE has benefits is to test it in practice"
 (wills-columnar-format.org:958-963): sample the chunk, ask every applicable
-codec for an estimated total encoded size, pick the minimum. Plain is always
+codec for an estimated encoded size, pick the minimum. Plain is always
 applicable, so selection never fails. Samples are *contiguous slices* (not
 strided rows) so run structure survives into the RLE estimate.
+
+Under a zstd transport (``EncodeConfig.transport``, the pipeline default)
+the selector ranks by **stored bytes**, not by pre-transport size: every
+section is zstd-1 framed after the codec runs, and a codec that wins before
+zstd can lose after it (sequential doc ids are 2.7x smaller stored as plain
+than as FSST). The cheap estimates only shortlist: the best ``_FINALISTS``
+by estimate, plus plain, encode the sample and are ranked by the zstd-1
+bytes of that payload plus meta, scaled to the chunk. FSST is trained only
+when it can still win: one code byte stands in for at most 8 payload bytes,
+so when zstd alone already compresses the plain sample by ``_FSST_CEILING``
+or more, FSST training is skipped. With ``transport=None`` the ranking is
+the pre-transport estimate, as direct callers have always had it.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 from . import format as fmt
 from .codecs import REGISTRY
 
 _SAMPLE_SLICES = 4
 _SAMPLE_VALUES = 4096  # total sampled values across slices
+#: transports whose stored bytes the selector ranks by
+_ZSTD_TRANSPORTS = ("zstd", "zstd-page")
+#: codecs kept, by cheap estimate, for the stored-bytes ranking (plus plain)
+_FINALISTS = 2
+#: FSST's best case: one code byte for an 8-byte symbol
+_FSST_CEILING = 8.0
 
 
 @dataclass
 class Choice:
     codec: str
+    #: estimated bytes of the chosen codec: stored (zstd-framed) bytes under
+    #: a zstd transport, pre-transport encoded bytes otherwise; -1 = unknown
     estimate: int
+    #: cheap pre-transport estimate of every codec that was asked
     estimates: dict[str, float]
+    #: stored-bytes estimate of every finalist (None without transport)
+    stored: dict[str, float] | None = None
+    #: wall time spent choosing
+    select_ms: float = 0.0
 
 
 def _sample_slices(n: int, total_sample: int = _SAMPLE_VALUES,
@@ -61,29 +88,77 @@ def sample_chunk(chunk, dtype: str):
     return np.concatenate([vals[a:b] for a, b in spans])
 
 
+def _size_units(chunk, dtype: str) -> int:
+    """Scale unit between a sample and its chunk: values for numbers,
+    payload bytes plus one per string for strings."""
+    if fmt.is_string(dtype):
+        return int(chunk[0].size) + int(chunk[1].size)
+    return int(np.asarray(chunk).size)
+
+
+def _zstd_sample(sample, dtype: str, cid: str, page_target: int):
+    """(zstd-1 bytes of the sample's payload plus meta, raw payload bytes)."""
+    meta, payload, _pages = REGISTRY[cid].encode(sample, dtype, page_target)
+    z = pa.Codec("zstd", compression_level=1).compress(payload, asbytes=True)
+    return len(z) + len(meta), int(payload.size)
+
+
 def choose_codec(chunk, dtype: str,
-                 candidates: list[str] | None = None) -> Choice:
+                 candidates: list[str] | None = None,
+                 transport: str | None = None,
+                 page_target: int = fmt.ENGINE_PAGE_SIZE) -> Choice:
+    t0 = time.perf_counter()
     n_total = fmt.chunk_len(chunk, dtype)
     payload_total = int(chunk[1].size) if fmt.is_string(dtype) else 0
     sample = sample_chunk(chunk, dtype)
-    estimates: dict[str, float] = {}
-    for cid in (candidates or list(REGISTRY)):
-        codec = REGISTRY[cid]
-        if not codec.supports(dtype):
-            continue
-        try:
-            estimates[cid] = codec.estimate_size(sample, dtype, n_total, payload_total)
-        except Exception:
-            estimates[cid] = math.inf
-    best = min(estimates, key=lambda c: (estimates[c], c))
-    return Choice(codec=best, estimate=int(estimates[best])
-                  if math.isfinite(estimates[best]) else -1,
-                  estimates=estimates)
+    ids = [cid for cid in (candidates or list(REGISTRY))
+           if REGISTRY[cid].supports(dtype)]
+    stored = transport in _ZSTD_TRANSPORTS
+    estimates = {cid: REGISTRY[cid].estimate_size(sample, dtype, n_total,
+                                                  payload_total)
+                 for cid in ids if not (stored and cid == "fsst")}
+    if not stored:
+        best = min(estimates, key=lambda c: (estimates[c], c))
+        return Choice(codec=best, estimate=int(estimates[best])
+                      if math.isfinite(estimates[best]) else -1,
+                      estimates=estimates,
+                      select_ms=(time.perf_counter() - t0) * 1e3)
+    ranked = sorted((c for c in estimates if math.isfinite(estimates[c])),
+                    key=lambda c: (estimates[c], c))
+    finalists = ranked[:_FINALISTS]
+    if "plain" in ids and "plain" not in finalists:
+        finalists.append("plain")
+    scale = _size_units(chunk, dtype) / max(1, _size_units(sample, dtype))
+    framed = {}
+    fsst_can_win = True
+    for cid in finalists:
+        z, raw = _zstd_sample(sample, dtype, cid, page_target)
+        framed[cid] = z * scale
+        if cid == "plain":
+            fsst_can_win = raw / max(1, z) < _FSST_CEILING
+    if "fsst" in ids and fsst_can_win:
+        # trains the symbol table once; the sample encode and the chunk
+        # encode below reuse it through the codec's memo
+        estimates["fsst"] = REGISTRY["fsst"].estimate_size(
+            sample, dtype, n_total, payload_total)
+        if math.isfinite(estimates["fsst"]):
+            framed["fsst"] = _zstd_sample(sample, dtype, "fsst",
+                                          page_target)[0] * scale
+    if not framed:  # every candidate bowed out on this data
+        best = min(estimates, key=lambda c: (estimates[c], c))
+        framed[best] = math.inf
+    best = min(framed, key=lambda c: (framed[c], c))
+    return Choice(codec=best, estimate=int(framed[best])
+                  if math.isfinite(framed[best]) else -1,
+                  estimates=estimates, stored=framed,
+                  select_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def encode_auto(chunk, dtype: str, page_target: int = fmt.ENGINE_PAGE_SIZE,
-                candidates: list[str] | None = None):
-    """Select + encode; returns (EncodedColumn, Choice)."""
-    choice = choose_codec(chunk, dtype, candidates)
+                candidates: list[str] | None = None,
+                transport: str | None = None):
+    """Select + encode; returns (EncodedColumn, Choice). ``transport`` is
+    the section transport the encoded bytes will be stored under."""
+    choice = choose_codec(chunk, dtype, candidates, transport, page_target)
     enc = fmt.encode_chunk(chunk, dtype, choice.codec, page_target)
     return enc, choice

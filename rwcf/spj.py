@@ -149,8 +149,7 @@ def bucket_store(input_paths, cfg: EncodeConfig, key: str = "doc_id",
             pid = f"bkt{b:05d}-{tag}-p{j:03d}"
             mpath = os.path.join(cfg.manifest_dir, f"{pid}.json")
             if resume and os.path.exists(mpath):
-                with open(mpath) as f:
-                    rows.append(json.load(f))
+                rows.append(pipeline.read_manifest_row(mpath))
                 continue
             rows.append(pipeline.encode_partition(
                 body.slice(s, e - s), pid, cfg,
@@ -557,8 +556,7 @@ def materialize_join_view(view_dir: str, dir_a: str, dir_b: str,
                 mpath = os.path.join(cfg.manifest_dir,
                                      f"{d['pid']}.json")
                 if os.path.exists(mpath):  # resume
-                    with open(mpath) as f:
-                        out.append(json.load(f))
+                    out.append(pipeline.read_manifest_row(mpath))
                     continue
                 stale = json.loads(d["stale"])
                 ra, rb = a_map.get(b, []), b_map.get(b, [])

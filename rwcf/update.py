@@ -46,8 +46,9 @@ from . import format as fmt
 from . import rayenv, selector
 from .pipeline import (EncodeConfig, _compress_frames, _sliced_blocks,
                        _stage_cap, _default_concurrency, decode_partition,
-                       load_manifest, manifest_rows_to_table,
-                       manifest_table_to_rows)
+                       commit_manifest_row, load_manifest,
+                       manifest_rows_to_table, manifest_table_to_rows,
+                       read_manifest_row)
 
 
 def _pred_mask(vals: pa.Array, eq=None, between=None, isin=None,
@@ -177,8 +178,7 @@ def update_where(out_dir: str, set_col: str, set_value,
             new_pid = f"{row['pid']}-u{utag}"
             mpath = os.path.join(cfg.manifest_dir, f"{new_pid}.json")
             if os.path.exists(mpath):  # resume: already committed
-                with open(mpath) as f:
-                    r = json.load(f)
+                r = read_manifest_row(mpath)
                 r["_matched"] = n_match
                 r["_rewrote"] = False
                 out.append(r)
@@ -253,7 +253,7 @@ def _encode_section(vals: pa.Array, dtype_hint: str | None,
     dense, validity = fmt.split_validity(vals)
     chunk, dtype, dec_b = _chunk_of(dense, dtype_hint)
     enc, choice = selector.encode_auto(chunk, dtype, cfg.page_target,
-                                       cfg.codecs)
+                                       cfg.codecs, transport)
     if validity is not None:
         enc.validity = validity
         dec_b += int(validity.size)
@@ -269,6 +269,7 @@ def _encode_section(vals: pa.Array, dtype_hint: str | None,
             "length": len(blob), "raw_length": raw_length,
             "frames": frames, "transport": transport,
             "crc": zlib.crc32(blob), "estimate": choice.estimate,
+            "select_ms": round(choice.select_ms, 3),
             "decoded_bytes": dec_b,
             "page_stats": fmt.page_value_stats(chunk, dtype, enc.pages)}
     # unconditional (0 when null-free): _rewrite_partition merges this
@@ -411,11 +412,7 @@ def _commit_successor(row: dict, cfg: EncodeConfig, new_pid: str,
         with open(stmp, "w") as f:
             json.dump({"pid": new_pid, "deleted_rows": list(dr)}, f)
         os.replace(stmp, spath)
-    mpath = os.path.join(cfg.manifest_dir, f"{new_pid}.json")
-    mtmp = mpath + f".tmp{os.getpid()}"
-    with open(mtmp, "w") as f:
-        json.dump(new_row, f)
-    os.replace(mtmp, mpath)  # commit point
+    commit_manifest_row(cfg.out_dir, new_row)  # commit point
     return new_row
 
 
@@ -503,8 +500,7 @@ def derive_column(out_dir: str, new_col: str, fn,
             new_pid = f"{row['pid']}-d{dtag}"
             mpath = os.path.join(cfg.manifest_dir, f"{new_pid}.json")
             if os.path.exists(mpath):  # resume
-                with open(mpath) as f:
-                    out.append(json.load(f))
+                out.append(read_manifest_row(mpath))
                 continue
             raw = dict(row)
             raw.pop("deleted_rows", None)  # raw positions, full length
@@ -597,8 +593,7 @@ def drop_column(out_dir: str, col: str,
             new_pid = f"{row['pid']}-x{xtag}"
             mpath = os.path.join(cfg.manifest_dir, f"{new_pid}.json")
             if os.path.exists(mpath):  # resume
-                with open(mpath) as f:
-                    out.append(json.load(f))
+                out.append(read_manifest_row(mpath))
                 continue
             t0 = time.perf_counter()
             with open(row["file"], "rb") as f:

@@ -152,11 +152,6 @@ def next_offsets_str(buf: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def compose_next(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """next array for a record = `first` item followed by `second` item."""
-    return second[first]
-
-
 def enumerate_offsets(nxt: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     """Start offsets of n consecutive items, given the one-step next array.
 

@@ -6,7 +6,6 @@ extension — the standard point-lookup answer for hash-like keys that
 zone maps cannot prune (same role as Parquet's split-block blooms).
 """
 
-import json
 import os
 import zlib
 
@@ -58,8 +57,10 @@ def test_encode_partition_bloom_sidecar(tmp_path):
     row0 = pipeline.encode_partition(tbl, "b-p0000", cfg0)
     assert "bloom" not in row0
     assert os.path.getsize(row0["file"]) == row0["encoded_bytes"]
-    # read_bloom round-trips through the manifest JSON on disk
-    man = json.load(open(os.path.join(cfg.manifest_dir, "b-p0000.json")))
+    # read_bloom round-trips through the manifest JSON on disk (whose
+    # file path is store-relative; read_manifest_row resolves it)
+    man = pipeline.read_manifest_row(
+        os.path.join(cfg.manifest_dir, "b-p0000.json"))
     got = pipeline.read_bloom(man, "doc_id")
     assert got is not None
     ids = tbl.column("doc_id")

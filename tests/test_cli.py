@@ -209,3 +209,24 @@ def test_cli_update_isnull_and_notnull_conflict(tmp_path):
         capture_output=True, text=True, env=env, cwd=REPO)
     assert out.returncode != 0
     assert "not allowed with argument" in out.stderr
+
+
+def test_cli_stats_selector_block(tmp_path):
+    src = fixtures.tokens_parquet(600, seed=5, cache_dir=str(tmp_path),
+                                  row_group_size=200)
+    out = str(tmp_path / "enc")
+    r = run_cli("encode", src, "--out", out, "--num-cpus", "2")
+    s = run_cli("stats", out)
+    sel = s["selector"]
+    assert set(sel) == {"doc_id", "tokens", "n_tok", "source"}
+    for col, blk in sel.items():
+        assert sum(blk["codecs"].values()) == r["partitions"], col
+        assert blk["stored_bytes"] > 0
+        assert blk["select_ms"] > 0
+        # stored-bytes estimates track the zstd-framed sections
+        assert abs(blk["estimate_error"]) < 0.5, (col, blk)
+    # sequential doc ids stay plain under the default zstd transport
+    assert sel["doc_id"]["codecs"] == {"plain": r["partitions"]}
+    stored = sum(v for k, v in s["bytes_by_column_codec"].items()
+                 if k.startswith("tokens:"))
+    assert sel["tokens"]["stored_bytes"] == stored

@@ -143,3 +143,22 @@ def test_compaction_preserves_bloom(tmp_path, ray_session):
     keys = [f"doc-{i:012d}" for i in (5, 250)]
     found = pipeline.lookup_docs(out, keys, concurrency=2).to_pandas()
     assert set(found["doc_id"]) == set(keys)
+
+
+def test_compacting_a_copied_store_keeps_the_original(tok_parquet, tmp_path,
+                                                     ray_session):
+    # manifest rows name their files relative to the store root, so a
+    # copy compacts and collects its own files, not the original's
+    import shutil
+    a = str(tmp_path / "a")
+    cfg = pipeline.EncodeConfig(out_dir=a, partition_token_budget=15_000)
+    pipeline.encode_job(tok_parquet, cfg, concurrency=2).materialize()
+    assert len(pipeline.load_manifest(a)) >= 10
+    b = str(tmp_path / "b")
+    shutil.copytree(a, b)
+    res = pipeline.compact_partitions(b, target_tokens=400_000,
+                                      concurrency=2)
+    assert res["parts_after"] < res["parts_before"] and res["gc"]["files"]
+    assert all(r["file"].startswith(b) for r in pipeline.load_manifest(b))
+    _roundtrip_equal(a, tok_parquet)
+    _roundtrip_equal(b, tok_parquet)

@@ -40,7 +40,7 @@ def test_fsck_clean_store_all_green(store):
     assert not bad, bad
     # one row per partition per per-partition check + 2 graph rows
     n_parts = len(pipeline.load_manifest(store))
-    assert len(df) == n_parts * 6 + 2
+    assert len(df) == n_parts * 7 + 2
     assert set(df["check"]) == set(pipeline.FSCK_CHECKS)
 
 
@@ -88,3 +88,21 @@ def test_fsck_flags_bad_tombstone_and_dangling_snapshot(store):
     assert (row["pid"], "tombstone_range") in bad
     assert ("<manifest>", "snapshot_dangling") in bad
     assert ("<manifest>", "replaces_dangling") not in bad
+
+
+def test_fsck_flags_rows_pointing_outside_the_store(store, tmp_path):
+    # a row written before files were store-relative, naming another
+    # store's file by absolute path
+    import shutil
+    copy = str(tmp_path / "copy")
+    shutil.copytree(store, copy)
+    row = pipeline.load_manifest(copy)[0]
+    mpath = os.path.join(copy, "manifest", f"{row['pid']}.json")
+    with open(mpath) as f:
+        raw = json.load(f)
+    assert raw["file"] == os.path.join("parts", f"{row['pid']}.rwcf")
+    raw["file"] = os.path.join(store, raw["file"])
+    with open(mpath, "w") as f:
+        json.dump(raw, f)
+    _, bad = _report(copy)
+    assert bad == {(row["pid"], "file_in_store")}

@@ -1,6 +1,9 @@
 """Codec auto-selector (SURVEY.md §2.3): sample -> estimate -> min choice."""
 
+import math
+
 import numpy as np
+import pytest
 
 from rwcf import format as fmt
 from rwcf import selector
@@ -105,3 +108,97 @@ def test_dd_beats_delta_encoded_bytes_on_cadence():
     _, p_delta, _ = REGISTRY["delta"].encode(ts, "i64", 65536)
     _, p_dd, _ = REGISTRY["dd"].encode(ts, "i64", 65536)
     assert p_dd.size * 100 < p_delta.size  # >100x smaller on pure cadence
+
+
+# ---------------------------------------------------------------------------
+# stored-bytes ranking under a zstd transport
+# ---------------------------------------------------------------------------
+
+def _framed_bytes(chunk, dtype, codec):
+    """Stored bytes of one section: codec encode, column file, per-page
+    zstd frames — exactly what encode_partition writes."""
+    from rwcf import pipeline
+    enc = fmt.encode_chunk(chunk, dtype, codec)
+    blob = fmt.write_column_file(enc)
+    return len(pipeline._compress_frames(blob, enc)[0])
+
+
+def _prose(n, seed=0):
+    rng = np.random.default_rng(seed)
+    words = ["the", "of", "and", "column", "store", "encoding", "partition",
+             "value", "compression", "format", "page", "table", "stream",
+             "reference", "dictionary", "symbol", "runs", "token", "data",
+             "engine", "a", "to", "in", "is", "for", "with", "that", "on"]
+    return [" ".join(rng.choice(words, rng.integers(6, 20))) + "."
+            for _ in range(n)]
+
+
+def test_transport_sequential_ids_pick_plain_without_fsst_training(monkeypatch):
+    from rwcf.codecs import fsst
+
+    def no_training(*a, **k):
+        raise AssertionError("FSST trained for a chunk it cannot win")
+
+    monkeypatch.setattr(fsst, "_train", no_training)
+    chunk = mk_chunk(["doc-%012d" % i for i in range(20000)], "str")
+    choice = selector.choose_codec(chunk, "str", transport="zstd-page")
+    assert choice.codec == "plain"
+    assert "fsst" not in choice.stored
+    assert choice.estimate == int(choice.stored["plain"])
+
+
+def test_transport_prose_trains_fsst_and_picks_it(monkeypatch):
+    from rwcf.codecs import fsst
+    calls = []
+    real = fsst._train
+
+    def spy(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(fsst, "_train", spy)
+    chunk = mk_chunk(_prose(3000), "str")
+    choice = selector.choose_codec(chunk, "str", transport="zstd-page")
+    assert calls and choice.codec == "fsst"
+    assert _framed_bytes(chunk, "str", "fsst") < _framed_bytes(chunk, "str",
+                                                               "plain")
+    calls.clear()
+    enc, _ = selector.encode_auto(chunk, "str", transport="zstd-page")
+    assert len(calls) == 1  # the chunk encode reuses the selector's table
+    assert chunk_equal(chunk, fmt.decode_chunk(enc), "str")
+
+
+def test_transport_choice_matches_per_partition_oracle():
+    # the ingest workload's table, one 1000-row partition per row group:
+    # per section, the chosen codec's stored bytes are the least any
+    # codec stores
+    from rwcf import fixtures, pipeline
+    from rwcf.codecs import REGISTRY
+    tbl = fixtures.tokens_table(20000, 1)
+    for k in range(20):
+        chunks = pipeline._table_chunks(tbl.slice(k * 1000, 1000))
+        for name, (chunk, dtype, _validity) in chunks.items():
+            framed = {cid: _framed_bytes(chunk, dtype, cid)
+                      for cid, c in REGISTRY.items() if c.supports(dtype)
+                      and math.isfinite(c.estimate_size(
+                          selector.sample_chunk(chunk, dtype), dtype,
+                          fmt.chunk_len(chunk, dtype),
+                          int(chunk[1].size) if fmt.is_string(dtype)
+                          else 0))}
+            choice = selector.choose_codec(chunk, dtype,
+                                           transport="zstd-page")
+            assert _framed_bytes(chunk, dtype, choice.codec) \
+                == min(framed.values()), (k, name, choice.codec, framed)
+
+
+@pytest.mark.parametrize("transport", [None, "zstd-page"])
+def test_crashing_estimator_raises(monkeypatch, transport):
+    from rwcf.codecs import REGISTRY
+
+    def boom(*a, **k):
+        raise RuntimeError("estimator bug")
+
+    monkeypatch.setattr(REGISTRY["rle"], "estimate_size", boom)
+    vals = np.repeat(np.arange(20, dtype=np.int64), 500)
+    with pytest.raises(RuntimeError, match="estimator bug"):
+        selector.choose_codec(vals, "i64", transport=transport)
