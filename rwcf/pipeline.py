@@ -390,10 +390,11 @@ def _store_relative(out_dir: str, path: str) -> str | None:
 
 
 def _resolve_file(row: dict, out_dir: str) -> dict:
-    """Store-relative ``file`` -> a path the process can open. Rows
-    written before paths were store-relative hold absolute paths and are
-    returned as they are."""
-    if not os.path.isabs(row["file"]):
+    """Store-relative ``file`` (always ``parts/<name>``) -> a path the
+    process can open. Rows written before paths were store-relative hold
+    the path the encoder was given, absolute or relative to its cwd, and
+    are returned as they are."""
+    if os.path.dirname(row["file"]) == "parts":
         row["file"] = os.path.join(out_dir, row["file"])
     return row
 

@@ -128,7 +128,8 @@ def choose_codec(chunk, dtype: str,
     finalists = ranked[:_FINALISTS]
     if "plain" in ids and "plain" not in finalists:
         finalists.append("plain")
-    scale = _size_units(chunk, dtype) / max(1, _size_units(sample, dtype))
+    scale = (max(1, _size_units(chunk, dtype))
+             / max(1, _size_units(sample, dtype)))
     framed = {}
     fsst_can_win = True
     for cid in finalists:

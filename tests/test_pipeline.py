@@ -375,3 +375,31 @@ def test_incremental_append_encodes_only_new_fragments(small_parquet,
                               columns=["doc_id"]).to_pandas()
     assert len(dec) == 2500
     assert man2["n_rows"].sum() == 2500
+
+
+def test_manifest_rows_store_relative_and_legacy_paths_read(tmp_path,
+                                                            monkeypatch):
+    # rows name their file relative to the store root; rows written
+    # before that hold the encoder's absolute or cwd-relative path
+    tbl = fixtures.tokens_table(50, seed=4)
+    monkeypatch.chdir(tmp_path)
+    cfg = pipeline.EncodeConfig(out_dir="store")
+    pipeline.encode_partition(tbl, "a-p0000", cfg)
+    pipeline.encode_partition(tbl, "b-p0000", cfg)
+    pipeline.encode_partition(tbl, "c-p0000", cfg)
+    mdir = os.path.join("store", "manifest")
+    legacy = {"b-p0000": os.path.join("store", "parts", "b-p0000.rwcf"),
+              "c-p0000": str(tmp_path / "store" / "parts" / "c-p0000.rwcf")}
+    for pid, path in legacy.items():
+        with open(os.path.join(mdir, f"{pid}.json")) as f:
+            raw = json.load(f)
+        assert raw["file"] == os.path.join("parts", f"{pid}.rwcf")
+        raw["file"] = path
+        with open(os.path.join(mdir, f"{pid}.json"), "w") as f:
+            json.dump(raw, f)
+    rows = pipeline.load_manifest("store")
+    assert [r["file"] for r in rows] == [
+        os.path.join("store", "parts", "a-p0000.rwcf"),
+        legacy["b-p0000"], legacy["c-p0000"]]
+    for r in rows:
+        assert pipeline.decode_partition(r).equals(tbl)
