@@ -1011,8 +1011,9 @@ def _q_dedup_embedding(sf_dir: str):
     """Embedding near-dup via the SCALE path (round-2 default swap):
     sign-LSH banded candidates (only (id, band, key) rows shuffle; vectors
     are never duplicated into buckets) -> distributed exact-cosine verify.
-    The full-matrix broadcast baseline (dedup.embedding_near_dups) is
-    demoted to a test-only exactness oracle. SQL-checkable because planted
+    The full-matrix broadcast baseline
+    (dedup.embedding_near_dups_baseline) is demoted to a test-only
+    exactness oracle. SQL-checkable because planted
     exact copies have cosine 1.0 and identical signatures (guaranteed
     recall), and the brute-force baseline pins that no other pair at
     sf0.01 clears the 0.95 threshold (tests/test_dedup.py)."""

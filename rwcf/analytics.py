@@ -28,7 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import rayenv
-from .joins import hash_bucket
+from .joins import (collect, exchange, hash_bucket, int64_fields,
+                    output_schema)
 
 __all__ = ["top_tokens", "cms_top_tokens", "grouped_topk",
            "exact_quantiles", "exact_quantiles_float", "grouped_quantiles",
@@ -122,21 +123,16 @@ def grouped_topk(ds, key_col: str, order_col: str, id_col: str, k: int = 5,
     any k << batch_size."""
 
     def partial(t: pa.Table) -> pa.Table:
-        t = _topk_per_key(t, key_col, order_col, id_col, k)
-        b = hash_bucket(t.column(key_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+        return _topk_per_key(t, key_col, order_col, id_col, k)
 
     def final(g: pa.Table) -> pa.Table:
         return _topk_per_key(g.drop_columns(["_b"]), key_col, order_col,
                              id_col, k, with_rank=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(final, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    final, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, None, int64_fields("rank")))
 
 
 def exact_quantiles(ds, col: str, qs=(0.25, 0.5, 0.9, 0.99)) -> pd.DataFrame:
@@ -246,8 +242,6 @@ def grouped_quantiles(ds, key_col: str, col: str,
             out = pd.concat([g[cols], sdf[cols]], ignore_index=True)
         else:
             out = g[cols]
-        out = out.copy()
-        out["_b"] = hash_bucket(out["k"].to_numpy(), buckets=buckets)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def final(g: pa.Table) -> pa.Table:
@@ -296,12 +290,12 @@ def grouped_quantiles(ds, key_col: str, col: str,
         out = pd.concat(outs, ignore_index=True)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(final, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    final, buckets=buckets, keys=["k"],
+                    schema=output_schema(ds, [key_col],
+                                         [("q", pa.float64()),
+                                          ("v", pa.int64())]))
 
 
 def _ordered_bits(vals: np.ndarray) -> np.ndarray:
@@ -393,20 +387,16 @@ def distinct_token_count(ds, text_col: str = "text",
     per-bucket counts additive."""
 
     def partial(t: pa.Table) -> pa.Table:
-        u = pc.unique(_flat_words(t.column(text_col)))
-        b = hash_bucket(u.to_numpy(zero_copy_only=False), buckets=buckets)
-        return pa.table({"token": u, "_b": pa.array(b)})
+        return pa.table({"token": pc.unique(_flat_words(t.column(text_col)))})
 
     def count_bucket(g: pa.Table) -> pa.Table:
         nd = len(pc.unique(g.column("token")))
         return pa.table({"nd": pa.array([nd], pa.int64())})
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow",
-                            **rayenv.remote_args())
-             .repartition(buckets)  # cap the sort fan-out (joins.py)
-             .groupby("_b")
-             .map_groups(count_bucket, batch_format="pyarrow",
-                         **rayenv.remote_args()))
+    parts = exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     count_bucket, buckets=buckets, keys=["token"],
+                     schema=pa.schema([("nd", pa.int64())]))
     total = parts.sum("nd")  # None on a fully empty corpus
     return pd.DataFrame([{"n_distinct": int(total or 0)}])
 
@@ -471,13 +461,14 @@ def distinct_token_count_approx(ds, text_col: str = "text") -> pd.DataFrame:
         return pa.table({"reg": pa.array(nz, pa.int64()),
                          "rank": pa.array(regs[nz], pa.int64())})
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow",
-                             **rayenv.remote_args())
-              .repartition(8)  # cap the sort fan-out (joins.py rationale)
-              .groupby("reg").max("rank").to_pandas())
+    merged = collect(ds.map_batches(partial, batch_format="pyarrow",
+                                    **rayenv.remote_args())
+                     .repartition(8)  # cap the sort fan-out (exchange)
+                     .groupby("reg").max("rank"),
+                     pa.schema([("reg", pa.int64()),
+                                ("max(rank)", pa.int64())]))
     regs = np.zeros(_HLL_M, dtype=np.int64)
-    if not merged.empty:  # 0-row to_pandas drops columns (Ray quirk)
-        regs[merged["reg"].to_numpy()] = merged["max(rank)"].to_numpy()
+    regs[merged["reg"].to_numpy()] = merged["max(rank)"].to_numpy()
     return pd.DataFrame([{"n_distinct_approx": int(round(
         _hll_estimate(regs)))}])
 
@@ -545,14 +536,14 @@ def cms_top_tokens(ds, text_col: str = "text", k: int = 50,
     # materialize holds only sketch-sized data, never the corpus
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            **rayenv.remote_args()).materialize()
-    sk = (parts.filter(expr="r >= 0")
-          .groupby(["r", "c"]).sum("n").to_pandas())
+    sk = collect(parts.filter(expr="r >= 0").groupby(["r", "c"]).sum("n"),
+                 pa.schema([("r", pa.int64()), ("c", pa.int64()),
+                            ("sum(n)", pa.int64())]))
     cms = np.zeros((_CMS_D, width), dtype=np.int64)
-    if not sk.empty:  # 0-row to_pandas drops columns (Ray quirk)
-        cms[sk["r"].to_numpy(), sk["c"].to_numpy()] = sk["sum(n)"].to_numpy()
-    cand_df = parts.filter(expr="r < 0").select_columns(["token"]).to_pandas()
-    cand = cand_df["token"].dropna().unique() if not cand_df.empty \
-        else np.array([], dtype=object)
+    cms[sk["r"].to_numpy(), sk["c"].to_numpy()] = sk["sum(n)"].to_numpy()
+    cand = collect(parts.filter(expr="r < 0").select_columns(["token"]),
+                   pa.schema([("token", pa.string())]))["token"] \
+        .dropna().unique()
     if cand.size == 0:
         return pd.DataFrame({"token": pd.Series(dtype="object"),
                              "n_est": pd.Series(dtype="int64")})
@@ -1031,10 +1022,11 @@ def bottomk_sample_quantiles(ds, col: str = "value",
         return pa.table({"h": pa.array(h[cut]), "v": pa.array(v[cut]),
                          "n": pa.array(n)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args()).to_pandas()
-    # 0-row to_pandas drops columns (exact_quantiles gotcha)
-    total = 0 if parts.empty else int(parts["n"].sum())
+    parts = collect(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    pa.schema([("h", pa.int64()), ("v", pa.float64()),
+                               ("n", pa.int64())]))
+    total = int(parts["n"].sum())
     if total == 0:
         return pd.DataFrame({"q": pd.Series(dtype="float64"),
                              "v": pd.Series(dtype="float64"),
@@ -1075,10 +1067,7 @@ def grouped_distinct_count(ds, key_col: str = "source",
                           "w": flat.filter(pa.array(ok))})
         # per-batch distinct (hash group_by, no aggregates)
         u = pairs.group_by(["k", "w"]).aggregate([])
-        b = hash_bucket(u.column("k").to_numpy(zero_copy_only=False),
-                        u.column("w").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     def count_bucket(g: pa.Table) -> pa.Table:
         u = g.select(["k", "w"]).group_by(["k", "w"]).aggregate([])
@@ -1086,12 +1075,10 @@ def grouped_distinct_count(ds, key_col: str = "source",
         return pa.table({key_col: agg.column("k"),
                          "nd": pc.cast(agg.column("w_count"), pa.int64())})
 
-    out = (ds.map_batches(partial, batch_format="pyarrow",
-                          **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(count_bucket, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    out = (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    count_bucket, buckets=buckets, keys=["k", "w"],
+                    schema=output_schema(ds, [key_col], int64_fields("nd")))
            .groupby(key_col)
            .aggregate(Sum("nd", alias_name="n_distinct")))
 
@@ -1183,11 +1170,6 @@ def grouped_distinct_count_approx(ds, key_col: str = "source",
             "ri": pa.array(nz % _HLL_M),
             "rank": pa.array(regs[nz])})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = hash_bucket(t.column(key_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return t.append_column("_b", pa.array(b))
-
     def estimate(g: pa.Table) -> pa.Table:
         kv = g.column(key_col).to_numpy(zero_copy_only=False)
         ri = g.column("ri").to_numpy(zero_copy_only=False)
@@ -1202,14 +1184,11 @@ def grouped_distinct_count_approx(ds, key_col: str = "source",
                          "n_distinct_est": pa.array(
                              np.round(est).astype(np.int64))})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(estimate, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    estimate, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [key_col],
+                                         int64_fields("n_distinct_est")))
 
 
 def _distinct_rows_str(keys: np.ndarray, words: np.ndarray):
@@ -1338,7 +1317,6 @@ def top_words_per_group(ds, key_col: str = "source",
         df = pd.DataFrame({"k": keys[ok],
                            "w": flat.filter(pa.array(ok)).to_pandas()})
         g = df.groupby(["k", "w"], as_index=False).size()
-        g["_b"] = hash_bucket(g["k"].to_numpy(), buckets=buckets)
         return pa.Table.from_pandas(g.rename(columns={"size": "n"}),
                                     preserve_index=False)
 
@@ -1354,12 +1332,12 @@ def top_words_per_group(ds, key_col: str = "source",
                          "n": pa.array(df["n"].to_numpy(np.int64)),
                          "rank": pa.array(df["rank"].to_numpy(np.int64))})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(final, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    final, buckets=buckets, keys=["k"],
+                    schema=output_schema(ds, [key_col],
+                                         [("word", pa.string())]
+                                         + int64_fields("n", "rank")))
 
 
 def grouped_ntile(ds, key_col: str = "source", order_col: str = "n_chars",
@@ -1384,22 +1362,11 @@ def grouped_ntile(ds, key_col: str = "source", order_col: str = "n_chars",
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key_col).combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def assign(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
                                                  (order_col, "ascending"),
                                                  (id_col, "ascending")]))
         m = g.num_rows
-        if m == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key_col: pa.array(
-                                 [], g.schema.field(key_col).type),
-                             "tile": pa.array([], pa.int64())})
         kn = g.column(key_col).combine_chunks() \
             .to_numpy(zero_copy_only=False)
         new_key = np.concatenate(([True], kn[1:] != kn[:-1]))
@@ -1421,12 +1388,9 @@ def grouped_ntile(ds, key_col: str = "source", order_col: str = "n_chars",
                          key_col: g.column(key_col),
                          "tile": pa.array(tile.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(assign, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, assign, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [id_col, key_col],
+                                         int64_fields("tile")))
 
 
 def grouped_rank(ds, key_col: str = "source", order_col: str = "n_chars",
@@ -1446,23 +1410,11 @@ def grouped_rank(ds, key_col: str = "source", order_col: str = "n_chars",
     skew bound as the other grouped operators.
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key_col).combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def ranks(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
                                                  (order_col, "ascending"),
                                                  (id_col, "ascending")]))
         m = g.num_rows
-        if m == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key_col: pa.array(
-                                 [], g.schema.field(key_col).type),
-                             "rnk": pa.array([], pa.int64()),
-                             "dense_rnk": pa.array([], pa.int64())})
         kn = g.column(key_col).combine_chunks() \
             .to_numpy(zero_copy_only=False)
         vn = g.column(order_col).combine_chunks() \
@@ -1484,12 +1436,9 @@ def grouped_rank(ds, key_col: str = "source", order_col: str = "n_chars",
                          "rnk": pa.array(rnk.astype(np.int64)),
                          "dense_rnk": pa.array(dense.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(ranks, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, ranks, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [id_col, key_col],
+                                         int64_fields("rnk", "dense_rnk")))
 
 
 def grouped_corr(ds, key_col: str = "source", x_col: str = "n_chars",
@@ -1591,23 +1540,11 @@ def grouped_percent_rank(ds, key_col: str = "source",
     shape as the other grouped operators.
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key_col).combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def ranks(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
                                                  (order_col, "ascending"),
                                                  (id_col, "ascending")]))
         m = g.num_rows
-        if m == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key_col: pa.array(
-                                 [], g.schema.field(key_col).type),
-                             "pct_rank_bp": pa.array([], pa.int64()),
-                             "cume_bp": pa.array([], pa.int64())})
         kn = g.column(key_col).combine_chunks() \
             .to_numpy(zero_copy_only=False)
         vn = g.column(order_col).combine_chunks() \
@@ -1636,12 +1573,10 @@ def grouped_percent_rank(ds, key_col: str = "source",
                          "pct_rank_bp": pa.array(pct.astype(np.int64)),
                          "cume_bp": pa.array(cume.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(ranks, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, ranks, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [id_col, key_col],
+                                         int64_fields("pct_rank_bp",
+                                                      "cume_bp")))
 
 
 def grouped_mode(ds, key_col: str = "source", val_col: str = "n_chars",
@@ -1683,17 +1618,7 @@ def grouped_mode(ds, key_col: str = "source", val_col: str = "n_chars",
               .groupby([key_col, val_col])
               .aggregate(Sum("n", alias_name="n")))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key_col).combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def argmax(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             f"mode_{val_col}": pa.array([], pa.int64()),
-                             "n_mode": pa.array([], pa.int64())})
         # sort (key, -n, value): first row per key is the mode
         kn = g.column(key_col).combine_chunks() \
             .to_numpy(zero_copy_only=False)
@@ -1709,12 +1634,11 @@ def grouped_mode(ds, key_col: str = "source", val_col: str = "n_chars",
                              vv[first].astype(np.int64)),
                          "n_mode": pa.array(nn[first].astype(np.int64))})
 
-    return (counts.map_batches(add_bucket, batch_format="pyarrow",
-                               **rayenv.remote_args())
-            .repartition(max(2, buckets // 4))
-            .groupby("_b")
-            .map_groups(argmax, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(counts, argmax, buckets=max(2, buckets // 4),
+                    keys=[key_col],
+                    schema=pa.schema([(key_col, pa.string()),
+                                      (f"mode_{val_col}", pa.int64()),
+                                      ("n_mode", pa.int64())]))
 
 
 def rollup_counts(ds, key1: str = "source", key2: str = "lang",
@@ -1997,8 +1921,7 @@ def vocab_except(ds, source_a: str, source_b: str,
         sel = (kv == source_a) | (kv == source_b)
         empty = pa.table({"w": pa.array([], pa.string()),
                           "a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "_b": pa.array([], pa.int64())})
+                          "b": pa.array([], pa.int64())})
         if not sel.any():
             return empty
         t = t.filter(pa.array(sel))
@@ -2036,12 +1959,9 @@ def vocab_except(ds, source_a: str, source_b: str,
                           "a": pa.array(is_a),
                           "b": pa.array(1 - is_a)})
         u = pairs.group_by("w").aggregate([("a", "max"), ("b", "max")])
-        bkt = hash_bucket(u.column("w").to_numpy(zero_copy_only=False),
-                          buckets=buckets)
         return pa.table({"w": u.column("w"),
                          "a": pc.cast(u.column("a_max"), pa.int64()),
-                         "b": pc.cast(u.column("b_max"), pa.int64()),
-                         "_b": pa.array(bkt)})
+                         "b": pc.cast(u.column("b_max"), pa.int64())})
 
     def diff_bucket(g: pa.Table) -> pa.Table:
         m = g.group_by("w").aggregate([("a", "max"), ("b", "max")])
@@ -2050,12 +1970,10 @@ def vocab_except(ds, source_a: str, source_b: str,
                        pc.equal(m.column("b_max"), want_b))
         return pa.table({"word": m.column("w").filter(keep)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(diff_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    diff_bucket, buckets=buckets, keys=["w"],
+                    schema=pa.schema([("word", pa.string())]))
 
 
 def id_islands(ds, key_col: str = "source", id_col: str = "doc_id",
@@ -2114,12 +2032,11 @@ def id_islands(ds, key_col: str = "source", id_col: str = "doc_id",
                          "island_end": pa.array(i_end),
                          "n_docs": pa.array(i_end - ss[first] + 1)})
 
-    return (ds.map_batches(part, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(merge, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(part, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    merge, buckets=buckets,
+                    schema=pa.schema([(key_col, pa.string())] + int64_fields(
+                        "island_start", "island_end", "n_docs")))
 
 
 def mad_by_group(ds, key_col: str = "source", val_col: str = "n_chars"):
@@ -2284,20 +2201,16 @@ def grouped_topk_ties(ds, key_col: str, order_col: str, id_col: str,
         return out
 
     def partial(t: pa.Table) -> pa.Table:
-        t = cut(t, with_rank=False)
-        b = hash_bucket(t.column(key_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+        return cut(t, with_rank=False)
 
     def final(g: pa.Table) -> pa.Table:
         return cut(g.drop_columns(["_b"]), with_rank=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(final, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    final, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [key_col, id_col],
+                                         int64_fields(order_col, "rank")))
 
 
 def grouped_distinct_pairs(ds, key_col: str, val_col: str,
@@ -2313,10 +2226,7 @@ def grouped_distinct_pairs(ds, key_col: str, val_col: str,
     def partial(t: pa.Table) -> pa.Table:
         u = t.select([key_col, val_col]) \
             .group_by([key_col, val_col]).aggregate([])
-        b = hash_bucket(u.column(key_col).to_numpy(zero_copy_only=False),
-                        u.column(val_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     def count_bucket(g: pa.Table) -> pa.Table:
         u = g.select([key_col, val_col]) \
@@ -2326,12 +2236,10 @@ def grouped_distinct_pairs(ds, key_col: str, val_col: str,
                          "nd": pc.cast(agg.column(f"{val_col}_count"),
                                        pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(count_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     count_bucket, buckets=buckets, keys=[key_col, val_col],
+                     schema=output_schema(ds, [key_col], int64_fields("nd")))
             .groupby(key_col)
             .aggregate(Sum("nd", alias_name="n_distinct")))
 
@@ -2426,9 +2334,9 @@ def _pair_overlap(pairs, groups: list, buckets: int):
         return pa.table({"mask": pa.array(u),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    hist = (pairs.repartition(buckets).groupby("_b")
-            .map_groups(bucket_masks, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    hist = (exchange(pairs, bucket_masks, buckets=buckets, keys=["i"],
+                     schema=pa.schema([("mask", pa.int64()),
+                                       ("n", pa.int64())]))
             .groupby("mask").aggregate(Sum("n", alias_name="n")))
 
     glist = list(groups)
@@ -2482,9 +2390,7 @@ def cooccurrence_pairs(ds, group_col: str, item_col: str,
         u = t.select([group_col, item_col]) \
             .group_by([group_col, item_col]).aggregate([])
         u = u.rename_columns(["g", "i"])
-        b = hash_bucket(u.column("i").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     pairs = ds.map_batches(partial, batch_format="pyarrow",
                            **rayenv.remote_args())
@@ -2518,9 +2424,7 @@ def vocab_overlap(ds, key_col: str = "source", text_col: str = "text",
         u = pa.table({"g": pa.array(keys[ok]),
                       "i": flat.filter(pa.array(ok))}) \
             .group_by(["g", "i"]).aggregate([])
-        b = hash_bucket(u.column("i").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     pairs = ds.map_batches(partial, batch_format="pyarrow",
                            **rayenv.remote_args())
@@ -2580,11 +2484,6 @@ def inter_event_gap_histogram(ds, key: str = "user_id",
 
     from .windows import _epoch_seconds_floor
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
-
     def hist(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending")]))
@@ -2603,12 +2502,8 @@ def inter_event_gap_histogram(ds, key: str = "user_id",
         return pa.table({"gap_bucket": pa.array(u),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(hist, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    return (exchange(ds, hist, buckets=buckets, keys=[key],
+                     schema=pa.schema(int64_fields("gap_bucket", "n")))
             .groupby("gap_bucket")
             .aggregate(Sum("n", alias_name="n")))
 
@@ -2663,13 +2558,11 @@ def global_ntile(ds, val_col: str = "n_chars", id_col: str = "doc_id",
             out[~big] = r0 + (rank[~big] - head) // q + 1
         return out
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         v = t.column(val_col).combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "_b": pa.array(hash_bucket(v, buckets=buckets)),
-            "v": pa.array(v),
-            "i": pc.cast(t.column(id_col), pa.int64())})
+        return pa.table({"v": pa.array(v),
+                         "i": pc.cast(t.column(id_col), pa.int64())})
 
     def rank_bucket(g: pa.Table) -> pa.Table:
         vals_b, offs_b = ray.get(off_ref)
@@ -2689,12 +2582,11 @@ def global_ntile(ds, val_col: str = "n_chars", id_col: str = "doc_id",
             out[val_col] = pa.array(v)
         return pa.table(out)
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(rank_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(project, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    rank_bucket, buckets=buckets, keys=["v"],
+                    schema=pa.schema(int64_fields(
+                        id_col, "tile", *([val_col] if keep_val else []))))
 
 
 def robust_outliers(ds, key_col: str = "source",
@@ -2842,9 +2734,7 @@ def grouped_string_agg(ds, key_col: str = "source",
     def partial(t: pa.Table) -> pa.Table:
         u = t.select([key_col, val_col]) \
             .group_by([key_col, val_col]).aggregate([])
-        b = hash_bucket(u.column(key_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     def join_bucket(g: pa.Table) -> pa.Table:
         u = g.select([key_col, val_col]) \
@@ -2854,10 +2744,6 @@ def grouped_string_agg(ds, key_col: str = "source",
                           (val_col, "ascending")]))
         kn = u.column(key_col).to_numpy(zero_copy_only=False)
         vn = u.column(val_col).to_numpy(zero_copy_only=False)
-        if kn.size == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "vals": pa.array([], pa.string()),
-                             "n_vals": pa.array([], pa.int64())})
         new = np.concatenate(([True], kn[1:] != kn[:-1]))
         seg = np.flatnonzero(new)
         counts = np.diff(np.append(seg, kn.size))
@@ -2868,12 +2754,12 @@ def grouped_string_agg(ds, key_col: str = "source",
                          "vals": pa.array(joined, pa.string()),
                          "n_vals": pa.array(counts.astype(np.int64))})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(join_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    join_bucket, buckets=buckets, keys=[key_col],
+                    schema=output_schema(ds, [key_col],
+                                         [("vals", pa.string()),
+                                          ("n_vals", pa.int64())]))
 
 
 def hapax_per_source(ds, key_col: str = "source",
@@ -2904,12 +2790,8 @@ def hapax_per_source(ds, key_col: str = "source",
                           "c": pa.array(np.ones(int(ok.sum()),
                                                 np.int64))})
         u = pairs.group_by(["k", "w"]).aggregate([("c", "sum")])
-        b = hash_bucket(u.column("k").to_numpy(zero_copy_only=False),
-                        u.column("w").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
         return pa.table({"k": u.column("k"), "w": u.column("w"),
-                         "c": u.column("c_sum"),
-                         "_b": pa.array(b)})
+                         "c": u.column("c_sum")})
 
     def count_bucket(g: pa.Table) -> pa.Table:
         m = g.select(["k", "w", "c"]).group_by(["k", "w"]) \
@@ -2924,12 +2806,11 @@ def hapax_per_source(ds, key_col: str = "source",
                          "n_distinct": pc.cast(agg.column("nd_sum"),
                                                pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(count_bucket, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    agg = (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    count_bucket, buckets=buckets, keys=["k", "w"],
+                    schema=output_schema(ds, [key_col], int64_fields(
+                        "n_hapax", "n_distinct")))
            .groupby(key_col)
            .aggregate(Sum("n_hapax", alias_name="n_hapax"),
                       Sum("n_distinct", alias_name="n_distinct")))
@@ -2972,9 +2853,7 @@ def daily_new_vs_returning(ds, key: str = "user_id",
             t.column(ts_col).combine_chunks()) // np.int64(86400)
         u = pa.table({"k": pa.array(kv), "d": pa.array(day)}) \
             .group_by(["k", "d"]).aggregate([])
-        b = hash_bucket(u.column("k").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
+        return u
 
     def split_bucket(g: pa.Table) -> pa.Table:
         m = g.select(["k", "d"]).group_by(["k", "d"]).aggregate([])
@@ -2994,12 +2873,11 @@ def daily_new_vs_returning(ds, key: str = "user_id",
                          "n_new": out.column("n_new_sum"),
                          "n_returning": out.column("n_returning_sum")})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(split_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     split_bucket, buckets=buckets, keys=["k"],
+                     schema=pa.schema(int64_fields("day", "n_new",
+                                                   "n_returning")))
             .groupby("day")
             .aggregate(Sum("n_new", alias_name="n_new"),
                        Sum("n_returning", alias_name="n_returning")))
@@ -3025,23 +2903,15 @@ def grouped_gini(ds, key_col: str = "source", val_col: str = "n_chars",
     drops in; at document-table cardinalities the direct form is
     cheaper."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t.column(key_col).to_numpy(zero_copy_only=False)
-        return pa.table({
-            "_b": pa.array(hash_bucket(kv, buckets=buckets)),
-            "k": t.column(key_col),
-            "v": pc.cast(t.column(val_col), pa.int64())})
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t.column(key_col),
+                         "v": pc.cast(t.column(val_col), pa.int64())})
 
     def gini_bucket(g: pa.Table) -> pa.Table:
         k = g.column("k").to_numpy(zero_copy_only=False)
         v = g.column("v").to_numpy(zero_copy_only=False)
         order = np.lexsort((v, k))
         k, v = k[order], v[order]
-        if k.size == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "n_rows": pa.array([], pa.int64()),
-                             "gini_num": pa.array([], pa.int64()),
-                             "gini_den": pa.array([], pa.int64())})
         new = np.concatenate(([True], k[1:] != k[:-1]))
         seg = np.flatnonzero(new)
         counts = np.diff(np.append(seg, k.size))
@@ -3057,12 +2927,11 @@ def grouped_gini(ds, key_col: str = "source", val_col: str = "n_chars",
             "gini_num": pa.array(num),
             "gini_den": pa.array(counts.astype(np.int64) * tot)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(gini_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(project, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    gini_bucket, buckets=buckets, keys=["k"],
+                    schema=output_schema(ds, [key_col], int64_fields(
+                        "n_rows", "gini_num", "gini_den")))
 
 
 def _ssum(seg_starts: np.ndarray, v: np.ndarray):
@@ -3122,11 +2991,7 @@ def vocab_growth(ds, id_col: str = "doc_id", text_col: str = "text",
         rep = np.repeat(ids, lens)
         g = pa.table({"w": flat, "fid": pa.array(rep)}) \
             .group_by("w").aggregate([("fid", "min")])
-        b = hash_bucket(g.column("w").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return pa.table({"w": g.column("w"),
-                         "fid": g.column("fid_min"),
-                         "_b": pa.array(b)})
+        return pa.table({"w": g.column("w"), "fid": g.column("fid_min")})
 
     def bucket_hist(g: pa.Table) -> pa.Table:
         m = g.select(["w", "fid"]).group_by("w") \
@@ -3141,12 +3006,11 @@ def vocab_growth(ds, id_col: str = "doc_id", text_col: str = "text",
             "threshold_id": pa.array(thr),
             "n_distinct": pa.array(counts)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(bucket_hist, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    return (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     bucket_hist, buckets=buckets, keys=["w"],
+                     schema=pa.schema(int64_fields("decile", "threshold_id",
+                                                   "n_distinct")))
             .groupby(["decile", "threshold_id"])
             .aggregate(Sum("n_distinct", alias_name="n_distinct")))
 
@@ -3262,25 +3126,15 @@ def winsorized_stats(ds, key_col: str = "source", val_col: str = "n_chars",
                     pa.int64()).to_numpy(zero_copy_only=False)
         g = (pd.DataFrame({"k": k, "v": v})
              .groupby(["k", "v"], as_index=False).size())
-        from .joins import hash_bucket
         return pa.table({"k": pa.array(g["k"].to_numpy()),
                          "v": pa.array(g["v"].to_numpy()),
                          "cnt": pa.array(g["size"].to_numpy()
-                                         .astype(np.int64)),
-                         "_b": pa.array(hash_bucket(
-                             g["k"].to_numpy(), buckets=buckets))})
+                                         .astype(np.int64))})
 
     def finish(g: pa.Table) -> pa.Table:
         k = g.column("k").combine_chunks().to_numpy(zero_copy_only=False)
         v = g.column("v").combine_chunks().to_numpy(zero_copy_only=False)
         c = g.column("cnt").combine_chunks().to_numpy(zero_copy_only=False)
-        if not k.size:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "sum_w": pa.array([], pa.int64()),
-                             "mean1000": pa.array([], pa.int64())})
         order = np.lexsort((v, k))
         k, v, c = k[order], v[order], c[order]
         # merge duplicate (k, v) histogram rows from different batches
@@ -3321,12 +3175,11 @@ def winsorized_stats(ds, key_col: str = "source", val_col: str = "n_chars",
                          "sum_w": pa.array(sum_w),
                          "mean1000": pa.array(mean1000)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(finish, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    finish, buckets=buckets, keys=["k"],
+                    schema=output_schema(ds, [key_col], int64_fields(
+                        "lo", "hi", "n", "sum_w", "mean1000")))
 
 
 def posting_lists(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -3351,23 +3204,16 @@ def posting_lists(ds, text_col: str = "text", id_col: str = "doc_id",
                         lens)
         w = flat.to_numpy(zero_copy_only=False)
         df = pd.DataFrame({"token": w, "doc": ids}).drop_duplicates()
-        from .joins import hash_bucket
-        tok = df["token"].to_numpy()
-        return pa.table({"token": pa.array(tok, pa.string()),
+        return pa.table({"token": pa.array(df["token"].to_numpy(),
+                                           pa.string()),
                          "doc": pa.array(df["doc"].to_numpy()
-                                         .astype(np.int64)),
-                         "_b": pa.array(hash_bucket(tok, buckets=buckets))})
+                                         .astype(np.int64))})
 
     def build(g: pa.Table) -> pa.Table:
         tok = g.column("token").combine_chunks().to_numpy(
             zero_copy_only=False)
         doc = g.column("doc").combine_chunks().to_numpy(
             zero_copy_only=False)
-        empty = pa.table({"token": pa.array([], pa.string()),
-                          "df": pa.array([], pa.int64()),
-                          "postings": pa.array([], pa.string())})
-        if not tok.size:
-            return empty
         order = np.lexsort((doc, tok))
         tok, doc = tok[order], doc[order]
         # cross-batch duplicate (token, doc) pairs collapse here
@@ -3379,7 +3225,7 @@ def posting_lists(ds, text_col: str = "text", id_col: str = "doc_id",
         dfreq = np.diff(np.append(seg, tok.size)).astype(np.int64)
         keep = dfreq >= min_df
         if not keep.any():
-            return empty
+            return schema.empty_table()
         segk, dfk = seg[keep], dfreq[keep]
         posts = [",".join(map(str, doc[s:s + min(int(d), cap)]))
                  for s, d in zip(segk, dfk)]
@@ -3387,12 +3233,12 @@ def posting_lists(ds, text_col: str = "text", id_col: str = "doc_id",
                          "df": pa.array(dfk),
                          "postings": pa.array(posts, pa.string())})
 
-    return (ds.map_batches(pairs, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(build, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    schema = pa.schema([("token", pa.string()), ("df", pa.int64()),
+                        ("postings", pa.string())])
+    return exchange(ds.map_batches(pairs, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    build, buckets=buckets, keys=["token"],
+                    schema=schema)
 
 
 def column_profile(ds, int_cols=("doc_id", "n_chars"),

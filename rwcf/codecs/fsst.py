@@ -270,18 +270,21 @@ class FsstCodec(base.Codec):
         if len(distinct) < max(2, probe // 16):
             return math.inf
         sep = int(free[0])
-        codes = [int(c) for c in free[1:]]
         corpus = _with_separators(lengths, payload, sep)[:_TRAIN_BYTES]
-        symbols = _train(corpus, codes, sep)
-        if not symbols:
-            return math.inf
-        if len(self._memo) > 16:
-            self._memo.clear()
         # keyed by the sample alone: the selector's sample is deterministic
         # and a sample is its own sample, so encoding the chunk or the
-        # sample itself recomputes the identical key
-        self._memo[(lengths.size, payload.size,
-                    _sample_fingerprint(lengths, payload))] = symbols
+        # sample itself recomputes the identical key — and training on an
+        # identical sample would return the memoized symbols again
+        key = (lengths.size, payload.size,
+               _sample_fingerprint(lengths, payload))
+        symbols = self._memo.get(key)
+        if symbols is None:
+            symbols = _train(corpus, [int(c) for c in free[1:]], sep)
+            if len(self._memo) > 16:
+                self._memo.clear()
+            self._memo[key] = symbols
+        if not symbols:
+            return math.inf
         enc = corpus
         for code, sym in symbols:
             enc = enc.replace(sym, bytes([code]))

@@ -490,14 +490,15 @@ def leakage_safe_split_counts(ds, id_col: str = "doc_id",
     as exact dedup."""
     from ray.data.aggregate import Sum
 
-    from .dedup import _bucket_of, _shuffle_buckets
+    from .dedup import _BUCKETS, _bucket_of
+    from .joins import exchange, output_schema
     from . import textops
 
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
     lo, mid = bounds
     names = np.array(["train", "val", "test"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def route(t: pa.Table) -> pa.Table:
         fp = textops.fingerprint_batch(t, text_col)
         b = _bucket_of(fp.column("fingerprint").to_numpy(), buckets=buckets)
         return t.select([id_col, text_col, group_col]) \
@@ -522,12 +523,11 @@ def leakage_safe_split_counts(ds, id_col: str = "doc_id",
                          "split": part.column("split"),
                          "n_docs": part.column("n_docs_sum")})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(counts_in_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    return (exchange(ds.map_batches(route, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     counts_in_bucket, buckets=buckets,
+                     schema=output_schema(ds, [group_col], [
+                         ("split", pa.string()), ("n_docs", pa.int64())]))
             .groupby([group_col, "split"])
             .aggregate(Sum("n_docs", alias_name="n_docs")))
 

@@ -13,8 +13,8 @@ any pair is emitted):
   (``jaccard_blocked_pairs`` — one shuffle, verify where the texts land)
 - embedding cosine: sign-LSH banded candidates (ids only shuffle) ->
   distributed cosine verify; the full-matrix broadcast
-  (``embedding_near_dups``) survives only as the exactness baseline for
-  tests.
+  (``embedding_near_dups_baseline``) survives only as the exactness
+  baseline for tests.
 
 Verification is DISTRIBUTED (round 2): ``verify_pairs_distributed`` joins
 each candidate pair's payloads via two bucketed hash-joins
@@ -50,19 +50,16 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 #: groupby keys directly — Ray invokes the UDF once per group (~10ms of
 #: dispatch each), so millions of tiny groups would be dispatch-bound.
 #: Instead every pipeline shuffles on hash(key) % _BUCKETS and resolves
-#: the fine-grained groups vectorized inside each bucket. Scale buckets
-#: with the cluster (env RWCF_DEDUP_BUCKETS), not with the data.
+#: the fine-grained groups vectorized inside each bucket.
 _BUCKETS = 32
 
 
-def _shuffle_buckets() -> int:
-    import os
-    return int(os.environ.get("RWCF_DEDUP_BUCKETS", _BUCKETS))
-
-
-# the shared routing hash (one implementation repo-wide so cross-process
-# determinism can't silently diverge between pipelines)
+# the shared routing hash and exchange (one implementation repo-wide so
+# cross-process determinism can't silently diverge between pipelines)
+from .joins import exchange, output_schema  # noqa: E402
 from .joins import hash_bucket as _bucket_of  # noqa: E402
+
+_PAIRS = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64())])
 
 
 def _subgroups(sorted_keys: list[np.ndarray]):
@@ -248,9 +245,9 @@ def dedup_exact(ds, text_col: str = "text"):
     bucket a vectorized pandas groupby on the actual content collapses to
     the min-doc_id row — collision-safe by construction (grouped by real
     content, the hash was only routing)."""
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def route(t: pa.Table) -> pa.Table:
         fp = textops.fingerprint_batch(t, text_col)
         b = _bucket_of(fp.column("fingerprint").to_numpy(), buckets=buckets)
         return t.append_column("_b", pa.array(b))
@@ -262,12 +259,10 @@ def dedup_exact(ds, text_col: str = "text"):
         return pa.table({"doc_id": agg.column("doc_id_min"),
                          text_col: agg.column(text_col)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(first_per_content, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(route, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    first_per_content, buckets=buckets,
+                    schema=output_schema(ds, ["doc_id", text_col]))
 
 
 def _band_rows(t: pa.Table, text_col: str, num_perm: int, bands: int,
@@ -294,12 +289,7 @@ def _banded_pairs_ds(rows_ds, buckets: int | None = None):
     """(doc_id, band, key) rows -> candidate-pair Dataset: shuffle on
     hash(band, key) % buckets, then resolve every (band, key) LSH bucket
     vectorized inside its shuffle bucket (no per-LSH-bucket UDF dispatch)."""
-    buckets = buckets or _shuffle_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_of(t.column("band").to_numpy(),
-                       t.column("key").to_numpy(), buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+    buckets = buckets or _BUCKETS
 
     def pairs_in_bucket(g: pa.Table) -> pa.Table:
         band = g.column("band").combine_chunks().to_numpy(
@@ -317,26 +307,20 @@ def _banded_pairs_ds(rows_ds, buckets: int | None = None):
             out_a.append(sub[ai])
             out_b.append(sub[bi])
         if not out_a:
-            return pa.table({"a_id": pa.array([], pa.int64()),
-                             "b_id": pa.array([], pa.int64())})
+            return _PAIRS.empty_table()
         return pa.table({
             "a_id": pa.array(np.concatenate(out_a).astype(np.int64)),
             "b_id": pa.array(np.concatenate(out_b).astype(np.int64))})
 
-    # materialize boundary between the keyed-row map and the sort shuffle:
+    # materialize boundary between the row map and the sort shuffle:
     # Ray's streaming executor reserves resources for the downstream
     # all-to-all while the map is still running, starving the map to a
     # fraction of the cluster (measured 2x end-to-end: fused 18-28 s vs
     # split 10-14 s at sf0.3/8cpus). The sort buffers its whole input
     # before reducing anyway, so the barrier changes nothing
     # asymptotically — and these are 2-int rows, never payloads.
-    keyed = rows_ds.map_batches(add_bucket, batch_format="pyarrow",
-                                **rayenv.remote_args()).materialize()
-    return (keyed
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs_in_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(rows_ds.materialize(), pairs_in_bucket, buckets=buckets,
+                    keys=["band", "key"], schema=_PAIRS)
 
 
 def minhash_lsh_candidates_ds(ds, text_col: str = "text",
@@ -422,15 +406,13 @@ def jaccard_blocked_pairs(ds, threshold: float = 0.8, text_col: str = "text",
 
     from . import format as fmt
 
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
 
     def add_blk(t: pa.Table) -> pa.Table:
-        blk = pc.binary_length(t.column(text_col)).cast(pa.int64())
         return pa.table({
             id_col: t.column(id_col),
             text_col: t.column(text_col),
-            "blk": blk,
-            "_b": pa.array(_bucket_of(blk.to_numpy(), buckets=buckets)),
+            "blk": pc.binary_length(t.column(text_col)).cast(pa.int64()),
         })
 
     empty = pa.table({"a_id": pa.array([], pa.int64()),
@@ -521,12 +503,10 @@ def jaccard_blocked_pairs(ds, threshold: float = 0.8, text_col: str = "text",
                          "b_id": pa.array(ids[ys[keep]]),
                          "jaccard": pa.array(sims[keep])})
 
-    return (ds.map_batches(add_blk, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs_in_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(add_blk, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    pairs_in_bucket, buckets=buckets, keys=["blk"],
+                    schema=empty.schema)
 
 
 def distinct_pairs(pairs_ds, buckets: int | None = None):
@@ -534,24 +514,15 @@ def distinct_pairs(pairs_ds, buckets: int | None = None):
     bands. Shuffles the tiny 2-int rows on hash(a, b) % buckets and
     drop_duplicates vectorized per bucket (per-pair groups would be
     dispatch-bound, see ``_BUCKETS``)."""
-    buckets = buckets or _shuffle_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_of(t.column("a_id").to_numpy(),
-                       t.column("b_id").to_numpy(), buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+    buckets = buckets or _BUCKETS
 
     def dedupe(g: pa.Table) -> pa.Table:
         # Arrow-native distinct: hash group_by with no aggregates
         return (g.select(["a_id", "b_id"])
                 .group_by(["a_id", "b_id"]).aggregate([]))
 
-    return (pairs_ds.map_batches(add_bucket, batch_format="pyarrow",
-                                 **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(dedupe, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(pairs_ds, dedupe, buckets=buckets, keys=["a_id", "b_id"],
+                    schema=output_schema(pairs_ds, ["a_id", "b_id"]))
 
 
 #: above this many candidate pairs, ``prune="auto"`` stops collecting the
@@ -607,8 +578,7 @@ def verify_pairs_distributed(pairs_ds, docs_ds, threshold: float = 0.8,
     pairs_ds = pairs_ds.materialize()  # tiny; read twice (prune ids + join)
     n_pairs = pairs_ds.count()
     if n_pairs == 0:
-        # no candidates (clean corpus): a fully empty Dataset is
-        # schema-less and cannot be joined — return the typed empty result
+        # no candidates (clean corpus): skip the docs pass entirely
         return rd.from_arrow(pa.table({"a_id": pa.array([], pa.int64()),
                                        "b_id": pa.array([], pa.int64()),
                                        "sim": pa.array([], pa.float64())}))
@@ -704,9 +674,7 @@ def verify_pairs_distributed(pairs_ds, docs_ds, threshold: float = 0.8,
                               ("a_id", pa.int64()), ("b_id", pa.int64()),
                               ("pay", ptype)]),
             preserve_index=False)
-        pidv = out.column("pid").to_numpy(zero_copy_only=False)
-        return out.append_column(
-            "_b2", pa.array(_bucket_of(pidv, buckets=buckets)))
+        return out
 
     def pair_up(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -734,14 +702,15 @@ def verify_pairs_distributed(pairs_ds, docs_ds, threshold: float = 0.8,
                                     **rayenv.remote_args())
     docs_tagged = docs_ds.map_batches(tag_docs, batch_format="pyarrow",
                                       **rayenv.remote_args())
-    j2 = (exploded.union(docs_tagged)
-          .repartition(buckets)
-          .groupby("_b")
-          .map_groups(attach, batch_format="pyarrow", **rayenv.remote_args())
-          .repartition(buckets)
-          .groupby("_b2")
-          .map_groups(pair_up, batch_format="pyarrow",
-                      **rayenv.remote_args()))
+    attached = exchange(exploded.union(docs_tagged), attach, buckets=buckets,
+                        schema=pa.schema([("pid", pa.int64()),
+                                          ("role", pa.int8()),
+                                          ("a_id", pa.int64()),
+                                          ("b_id", pa.int64()),
+                                          ("pay", ptype)]))
+    j2 = exchange(attached, pair_up, buckets=buckets, keys=["pid"],
+                  schema=pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
+                                    ("_a_pay", ptype), ("_b_pay", ptype)]))
 
     def verify(t: pa.Table) -> pa.Table:
         a_ids = t.column("a_id").combine_chunks().to_numpy(zero_copy_only=False)
@@ -940,7 +909,7 @@ def token_minhash_dedup_ds(ds, num_perm: int = NUM_PERM, seed: int = 42,
     (8-way measured SLOWER than 2-way); that constraint is gone."""
     import pyarrow.compute as pc
 
-    buckets = buckets or _shuffle_buckets()
+    buckets = buckets or _BUCKETS
     from .pipeline import _cluster_cpus
     sig_cpus = max(1, min(task_cpus, _cluster_cpus()))
 
@@ -994,7 +963,7 @@ def token_dedup_onepass_ds(ds, num_perm: int = NUM_PERM, seed: int = 42,
 
     from . import format as fmt
 
-    buckets = buckets or _shuffle_buckets()
+    buckets = buckets or _BUCKETS
 
     def add_key(t: pa.Table) -> pa.Table:
         out = minhash_tokens_batch(t, num_perm, seed)
@@ -1114,7 +1083,7 @@ def token_dedup_twophase_ds(ds, num_perm: int = NUM_PERM, seed: int = 42,
     import ray.data as rd
     import pyarrow.compute as pc
 
-    buckets = buckets or _shuffle_buckets()
+    buckets = buckets or _BUCKETS
 
     def sig_rows(t: pa.Table) -> pa.Table:
         out = minhash_tokens_batch(t, num_perm, seed)
@@ -1214,7 +1183,7 @@ def simhash_candidates_ds(ds, text_col: str = "text"):
     hash(band, key) % buckets (bucketed-shuffle pattern, see ``_BUCKETS``);
     pairs may repeat across bands; chain :func:`distinct_pairs` before
     verification."""
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
 
     def band_rows(t: pa.Table) -> pa.Table:
         sig = simhash_signatures(t, text_col)
@@ -1230,15 +1199,10 @@ def simhash_candidates_ds(ds, text_col: str = "text"):
             "key": pa.array(bands.reshape(-1).astype(np.int64)),
         })
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_of(t.column("band").to_numpy(),
-                       t.column("key").to_numpy(), buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+    schema = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
+                        ("hamming", pa.int64())])
 
     def pairs_in_bucket(g: pa.Table) -> pa.Table:
-        empty = pa.table({"a_id": pa.array([], pa.int64()),
-                          "b_id": pa.array([], pa.int64()),
-                          "hamming": pa.array([], pa.int64())})
         band = g.column("band").combine_chunks().to_numpy(
             zero_copy_only=False)
         key = g.column("key").combine_chunks().to_numpy(zero_copy_only=False)
@@ -1259,7 +1223,7 @@ def simhash_candidates_ds(ds, text_col: str = "text"):
                 sub = ids[s:s + m]
                 out.append((sub[ai][keep], sub[bi][keep], ham[keep]))
         if not out:
-            return empty
+            return schema.empty_table()
         return pa.table({
             "a_id": pa.array(np.concatenate([o[0] for o in out])
                              .astype(np.int64)),
@@ -1268,19 +1232,18 @@ def simhash_candidates_ds(ds, text_col: str = "text"):
             "hamming": pa.array(np.concatenate([o[2] for o in out])
                                 .astype(np.int64))})
 
-    return (ds.map_batches(band_rows, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs_in_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(band_rows, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    pairs_in_bucket, buckets=buckets, keys=["band", "key"],
+                    schema=schema)
 
 
 def simhash_candidates(ds, text_col: str = "text") -> pd.DataFrame:
     """Driver-side convenience wrapper (small corpora / tests)."""
-    cand = simhash_candidates_ds(ds, text_col).to_pandas()
+    from .joins import collect
+    cand = collect(simhash_candidates_ds(ds, text_col),
+                   pa.schema([("a_id", pa.int64()), ("b_id", pa.int64()),
+                              ("hamming", pa.int64())]))
     return cand.drop_duplicates(subset=["a_id", "b_id"]).reset_index(drop=True)
 
 
@@ -1352,8 +1315,7 @@ def cluster_pairs_ds(pairs_ds, max_rounds: int = 30, buckets: int = 32):
                                  **rayenv.remote_args()).materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        # no duplicate pairs at all: no components (schema-less empties
-        # cannot flow through joins/aggregates)
+        # no duplicate pairs at all: no components, and no rounds to run
         import ray.data as rd
         return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                        "cluster_id": pa.array([], pa.int64())}))
@@ -1457,8 +1419,7 @@ def dedup_survivors_ds(pairs_ds, ids_ds, id_col: str = "doc_id",
     losers = cl.map_batches(losers_only, batch_format="pyarrow",
                             **rayenv.remote_args()).materialize()
     if losers.count() == 0:
-        # no duplicate pairs: everyone survives (schema-less empty Datasets
-        # cannot flow through the join)
+        # no duplicate pairs: everyone survives, no anti-join needed
         return ids_only
     return hash_join(ids_only, losers, on="doc_id", right_on="loser_id",
                      buckets=buckets, how="anti")
@@ -1531,8 +1492,9 @@ def embedding_near_dups_lsh(ds, threshold: float = 0.95, n_planes: int = 16,
     return (out[["a_id", "b_id"]].drop_duplicates().reset_index(drop=True))
 
 
-def embedding_near_dups(ds, threshold: float = 0.95,
-                        id_col: str = "vec_id", vec_col: str = "embedding"):
+def embedding_near_dups_baseline(ds, threshold: float = 0.95,
+                                 id_col: str = "vec_id",
+                                 vec_col: str = "embedding"):
     """Cosine near-dup pairs. The (normalized) full matrix is broadcast once
     with ray.put and each batch matmuls against it — no shuffle join. At
     10^12 scale the broadcast side becomes the sign-LSH buckets of
@@ -1666,7 +1628,7 @@ def dup_ngram_counts_ds(ds, width: int = 40, text_col: str = "text",
 
     if prune not in ("auto", "exact", "bloom"):
         raise ValueError(f"unknown prune={prune!r}")
-    buckets = buckets or _shuffle_buckets()
+    buckets = buckets or _BUCKETS
 
     def hash_rows(t: pa.Table) -> pa.Table:
         lengths, payload = textops._text_chunks(t, text_col)
@@ -1676,11 +1638,8 @@ def dup_ngram_counts_ds(ds, width: int = 40, text_col: str = "text",
         dh, ddoc = _distinct_rows(h, ids[win_doc])
         return pa.table({
             "h": pa.array(dh.view(np.int64)),
-            "doc_id": pa.array(ddoc)})
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_of(t.column("h").to_numpy(), buckets=buckets)
-        return t.append_column("_b", pa.array(b))
+            "doc_id": pa.array(ddoc),
+            "_b": pa.array(_bucket_of(dh.view(np.int64), buckets=buckets))})
 
     def dup_hashes(g: pa.Table) -> pa.Table:
         h = g.column("h").combine_chunks().to_numpy(zero_copy_only=False)
@@ -1692,10 +1651,8 @@ def dup_ngram_counts_ds(ds, width: int = 40, text_col: str = "text",
         # rows are distinct per (h, doc): >=2 rows == >=2 docs
         return pa.table({"h": pa.array(h[starts])})
 
-    rows = ds.map_batches(hash_rows, batch_format="pyarrow",
-                          **rayenv.remote_args())
-    dup_h_ds = (rows.map_batches(add_bucket, batch_format="pyarrow",
-                                 **rayenv.remote_args())
+    dup_h_ds = (ds.map_batches(hash_rows, batch_format="pyarrow",
+                               **rayenv.remote_args())
                 .groupby("_b")
                 .map_groups(dup_hashes, batch_format="pyarrow",
                             **rayenv.remote_args()))
@@ -1740,9 +1697,9 @@ def dup_ngram_counts_ds(ds, width: int = 40, text_col: str = "text",
         garr = pa.FixedSizeBinaryArray.from_buffers(
             pa.binary(width), grams.shape[0],
             [None, pa.py_buffer(grams.tobytes())])
-        t2 = pa.table({"h": pa.array(hi), "doc_id": pa.array(ids[win_doc]),
-                       "gram": garr})
-        return t2
+        return pa.table({"h": pa.array(hi), "doc_id": pa.array(ids[win_doc]),
+                         "gram": garr,
+                         "_b": pa.array(_bucket_of(hi, buckets=buckets))})
 
     def verify_count(g: pa.Table) -> pa.Table:
         doc = g.column("doc_id").combine_chunks().to_numpy(
@@ -1768,8 +1725,6 @@ def dup_ngram_counts_ds(ds, width: int = 40, text_col: str = "text",
 
     partials = (ds.map_batches(gram_rows, batch_format="pyarrow",
                                **rayenv.remote_args())
-                .map_batches(add_bucket, batch_format="pyarrow",
-                             **rayenv.remote_args())
                 .groupby("_b")
                 .map_groups(verify_count, batch_format="pyarrow",
                             **rayenv.remote_args()))
@@ -1806,18 +1761,14 @@ def dup_rate_per_source(ds, key_col: str = "source",
     from ray.data.aggregate import Sum
 
     from . import rayenv
-    from .joins import hash_bucket
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({
             "k": t.column(key_col), "x": t.column(text_col),
             "n": pa.array(np.ones(t.num_rows, np.int64)),
         }).group_by(["k", "x"]).aggregate([("n", "sum")])
-        b = hash_bucket(g.column("k").to_numpy(zero_copy_only=False),
-                        g.column("x").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
         return pa.table({"k": g.column("k"), "x": g.column("x"),
-                         "n": g.column("n_sum"), "_b": pa.array(b)})
+                         "n": g.column("n_sum")})
 
     def count_bucket(g: pa.Table) -> pa.Table:
         m = g.select(["k", "x", "n"]).group_by(["k", "x"]) \
@@ -1833,12 +1784,12 @@ def dup_rate_per_source(ds, key_col: str = "source",
                          "n_distinct_texts":
                              _pc.cast(agg.column("nd_sum"), pa.int64())})
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(count_bucket, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    agg = (exchange(ds.map_batches(partial, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    count_bucket, buckets=buckets, keys=["k", "x"],
+                    schema=output_schema(ds, [key_col], [
+                        ("n_docs", pa.int64()),
+                        ("n_distinct_texts", pa.int64())]))
            .groupby(key_col)
            .aggregate(Sum("n_docs", alias_name="n_docs"),
                       Sum("n_distinct_texts",
@@ -1875,7 +1826,7 @@ def bag_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text"):
     import pyarrow.compute as pc
 
     from .analytics import _batch_words
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
 
     def add_canon(t: pa.Table) -> pa.Table:
         flat, lens = _batch_words(t, text_col)
@@ -1899,24 +1850,19 @@ def bag_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text"):
             zero_copy_only=False).astype(np.int64)
         canon = g.column("canon").combine_chunks().to_numpy(
             zero_copy_only=False)
-        empty = pa.table({"a_id": pa.array([], pa.int64()),
-                          "b_id": pa.array([], pa.int64())})
         if ids.size < 2:
-            return empty
+            return _PAIRS.empty_table()
         order = np.lexsort((ids, canon))
         ids, canon = ids[order], canon[order]
         seg = np.flatnonzero(np.concatenate(
             ([True], canon[1:] != canon[:-1])))
         ia, ib = _block_pairs(seg, ids.size)
         if not ia.size:
-            return empty
+            return _PAIRS.empty_table()
         a, b = ids[ia], ids[ib]
         return pa.table({"a_id": pa.array(np.minimum(a, b)),
                          "b_id": pa.array(np.maximum(a, b))})
 
-    return (ds.map_batches(add_canon, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(add_canon, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    pairs, buckets=buckets, schema=_PAIRS)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from . import rayenv
 
 
 def _pad_matrix(arr: pa.Array):
@@ -101,18 +100,12 @@ def fuzzy_pairs(ds, id_col: str = "p_partkey", text_col: str = "p_name",
     """All same-block row pairs with edit distance <= ``max_dist``
     (``a_key < b_key``).  One bucketed exchange; vectorized DP verify."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        bv = t.column(block_col).combine_chunks().to_numpy(
-            zero_copy_only=False)
-        return (t.select([id_col, text_col, block_col])
-                .append_column("_b", pa.array(hash_bucket(bv,
-                                                          buckets=buckets))))
+    from .joins import exchange
+    empty = pa.table({"a_key": pa.array([], pa.int64()),
+                      "b_key": pa.array([], pa.int64()),
+                      "dist": pa.array([], pa.int64())})
 
     def verify(g: pa.Table) -> pa.Table:
-        empty = pa.table({"a_key": pa.array([], pa.int64()),
-                          "b_key": pa.array([], pa.int64()),
-                          "dist": pa.array([], pa.int64())})
         if g.num_rows < 2:
             return empty
         bv = g.column(block_col).combine_chunks().to_numpy(
@@ -141,9 +134,5 @@ def fuzzy_pairs(ds, id_col: str = "p_partkey", text_col: str = "p_name",
         return pa.table({"a_key": pa.array(lo), "b_key": pa.array(hi),
                          "dist": pa.array(d.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(verify, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.select_columns([id_col, text_col, block_col]), verify,
+                    buckets=buckets, keys=[block_col], schema=empty.schema)

@@ -99,31 +99,27 @@ def encode_grouped_by_source(input_paths, cfg: EncodeConfig,
 def verify_grouped_job(out_dir: str, input_paths):
     """Bit-exact verification for grouped-encode outputs, whose lineage has
     no source-fragment reference: a bucketed hash-join on doc_id between the
-    decoded rows and the source rows. Both sides shuffle once on
-    ``hash(doc_id) % B``; each bucket compares its pairs vectorized. No
+    decoded rows and the source rows. Both sides shuffle once through
+    the shared exchange on ``hash(doc_id)``; each bucket compares its
+    pairs vectorized. No
     driver-side collect of data rows — only (bucket, n_rows, n_equal)
     summaries return."""
     import ray.data as rd
 
     from . import pipeline
+    from .joins import exchange
 
-    buckets = 32
-
-    def tag_and_bucket(side):
+    def tag(side):
         def fn(t: pa.Table) -> pa.Table:
-            h = pd.util.hash_array(
-                np.asarray(t.column("doc_id")).astype(object))
-            return (t.append_column("bucket",
-                                    pa.array((h % buckets).astype(np.int32)))
-                    .append_column("side",
-                                   pa.array([side] * t.num_rows, pa.string())))
+            return t.append_column(
+                "side", pa.array([side] * t.num_rows, pa.string()))
         return fn
 
     src = rd.read_parquet(input_paths, columns=pipeline.TOKEN_COLUMNS) \
-        .map_batches(tag_and_bucket("src"), batch_format="pyarrow",
+        .map_batches(tag("src"), batch_format="pyarrow",
                      **rayenv.remote_args())
     dec = pipeline.decode_job(out_dir) \
-        .map_batches(tag_and_bucket("dec"), batch_format="pyarrow",
+        .map_batches(tag("dec"), batch_format="pyarrow",
                      **rayenv.remote_args())
 
     cols = list(pipeline.TOKEN_COLUMNS)
@@ -142,16 +138,15 @@ def verify_grouped_job(out_dir: str, input_paths):
         ok = (a.num_rows == b.num_rows
               and a.select(cols).combine_chunks()
               .equals(b.select(cols).combine_chunks()))
-        bucket = g.column("bucket")[0].as_py() if g.num_rows else -1
-        return pa.table({"bucket": pa.array([bucket], pa.int32()),
+        return pa.table({"bucket": pa.array([g.column("_b")[0].as_py()],
+                                            pa.int32()),
                          "n_rows": pa.array([n], pa.int64()),
                          "n_equal": pa.array([n if ok else 0], pa.int64())})
 
-    # align physical blocks with the bucket count before the groupby: the
-    # sort shuffle fans out to the INPUT block count, so hundreds of tiny
-    # upstream blocks would spawn hundreds of mostly-empty reduce tasks
-    return src.union(dec).repartition(buckets).groupby("bucket").map_groups(
-        compare, batch_format="pyarrow", **rayenv.remote_args())
+    return exchange(src.union(dec), compare, buckets=32, keys=["doc_id"],
+                    schema=pa.schema([("bucket", pa.int32()),
+                                      ("n_rows", pa.int64()),
+                                      ("n_equal", pa.int64())]))
 
 
 def per_source_manifest_stats(out_dir: str) -> pd.DataFrame:

@@ -65,6 +65,87 @@ def hash_bucket(*cols, buckets: int) -> np.ndarray:
     return (h % np.uint64(buckets)).astype(np.int32)
 
 
+def known_schema(ds) -> pa.Schema | None:
+    """Arrow schema of ``ds`` when Ray knows it without executing anything
+    (a source, a materialized or a declared Dataset), else None."""
+    base = getattr(ds.schema(fetch_if_missing=False), "base_schema", None)
+    return base if isinstance(base, pa.Schema) else None
+
+
+def declare_schema(ds, schema: pa.Schema | None):
+    """Record ``schema`` as the output schema of ``ds`` without executing
+    it: ``ds.schema()`` and ``to_arrow_refs()`` then run no ``limit(1)``
+    copy of the plan, and a result with no rows still has its columns.
+    The one use of Ray's private ``ExecutionPlan.cache_schema`` (present
+    in Ray 2.49). ``None`` declares nothing."""
+    if schema is not None:
+        ds._plan.cache_schema(schema)
+    return ds
+
+
+def output_schema(ds, keep=None, extra=()) -> pa.Schema | None:
+    """The fields ``keep`` (all when None) of the Arrow schema of ``ds``
+    followed by the ``extra`` (name, type) pairs: the output schema of an
+    operator whose output carries input columns through. None when Ray
+    does not know the schema of ``ds`` without executing it."""
+    src = known_schema(ds)
+    if src is None:
+        return None
+    return pa.schema([src.field(c) for c in keep or src.names]
+                     + list(extra))
+
+
+def int64_fields(*names) -> list:
+    """(name, int64) output fields."""
+    return [(n, pa.int64()) for n in names]
+
+
+def exchange(ds, fn, *, buckets: int, schema: pa.Schema | None, keys=None):
+    """The bucketed shuffle every grouped operator in rwcf runs: rows move
+    to ``buckets`` groups by the int32 column ``_b``, and ``fn`` maps each
+    group's pyarrow Table to its output Table. With ``keys`` (column
+    names) ``_b = hash_bucket(*keys)`` is appended here; without, the
+    caller's own map stage has added ``_b``.
+
+    The exchange is Ray's sort-based groupby after a ``repartition`` to
+    ``buckets`` blocks (Ray's sort fans out to the number of INPUT
+    blocks, so hundreds of tiny upstream blocks would spawn hundreds of
+    mostly-empty reduce tasks — measured 56 s of sort for a 12k-row
+    join before the cap).
+
+    ``schema`` is the output schema of ``fn`` (None where it follows
+    input types Ray does not know without executing the input). Each
+    group's output is cast to it, a group with no output rows becomes
+    its empty table, and the returned Dataset declares it. Blocks that
+    receive no group come back from Ray with no columns; :func:`collect`
+    gives such a result its columns back."""
+    if keys is not None:
+        def add_bucket(t: pa.Table) -> pa.Table:
+            b = hash_bucket(*(t.column(k).to_numpy() for k in keys),
+                            buckets=buckets)
+            return t.append_column("_b", pa.array(b))
+        ds = ds.map_batches(add_bucket, batch_format="pyarrow",
+                            **rayenv.remote_args())
+
+    def typed(g: pa.Table) -> pa.Table:
+        out = fn(g)
+        if schema is None or out.schema.equals(schema, check_metadata=True):
+            return out
+        return out.cast(schema) if out.num_rows else schema.empty_table()
+
+    out = ds.repartition(buckets).groupby("_b").map_groups(
+        typed, batch_format="pyarrow", **rayenv.remote_args())
+    return declare_schema(out, schema)
+
+
+def collect(ds, schema: pa.Schema) -> pd.DataFrame:
+    """``ds.to_pandas()``, except that a result with no rows has the
+    columns and types of ``schema`` (Ray's frame has no columns when
+    every block is empty)."""
+    df = ds.to_pandas()
+    return df if len(df) else schema.empty_table().to_pandas()
+
+
 def _align(t: pa.Table, schema: pa.Schema) -> pa.Table:
     """Project ``t`` onto ``schema`` (missing columns become nulls) so both
     tagged sides union with one schema."""
@@ -266,8 +347,10 @@ def hash_join(left, right, on: str, right_on: str | None = None,
            if not key_only])
 
     if broadcast:
-        return _broadcast_join(left, right, on, right_on, how, rmap,
-                               out_l, out_r, out_schema, key_type, key_only)
+        return declare_schema(
+            _broadcast_join(left, right, on, right_on, how, rmap, out_l,
+                            out_r, out_schema, key_type, key_only),
+            out_schema)
 
     fields = [pa.field(_JK, key_type), pa.field(_BUCKET, pa.int32()),
               pa.field(_SIDE, pa.int8())]
@@ -360,13 +443,13 @@ def hash_join(left, right, on: str, right_on: str | None = None,
             m = l.join(r, keys=_JK, join_type=jt)
         return _align(m.select(out_l + out_r), out_schema)
 
-    # repartition to the bucket count BEFORE the groupby: Ray's sort-based
-    # shuffle fans out to the number of INPUT blocks, so feeding it the
-    # accumulated tiny upstream blocks (often hundreds) would spawn
-    # hundreds of mostly-empty reduce partitions and tasks (measured 56s
-    # of Sort for a 12k-row join before this cap)
-    return lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
-        merge, batch_format="pyarrow", **rayenv.remote_args())
+    # the tagged union groups by its own bucket column (user columns of
+    # both sides ride along, so "_b" could collide): the exchange's
+    # repartition cap, spelled out
+    return declare_schema(
+        lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
+            merge, batch_format="pyarrow", **rayenv.remote_args()),
+        out_schema)
 
 
 def _broadcast_join(left, right, on, right_on, how, rmap, out_l, out_r,
@@ -537,8 +620,10 @@ def range_join(left, right, left_val: str, right_lo: str, right_hi: str,
         m = m[(m[rlo].to_numpy() <= v) & (v <= m[rhi].to_numpy())]
         return _from_pandas_nullable(m[out_l + out_r], out_schema)
 
-    return lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
-        merge, batch_format="pyarrow", **rayenv.remote_args())
+    return declare_schema(
+        lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
+            merge, batch_format="pyarrow", **rayenv.remote_args()),
+        out_schema)
 
 
 def asof_join(left, right, on: str, left_ts: str, right_ts: str,
@@ -623,5 +708,7 @@ def asof_join(left, right, on: str, left_ts: str, right_ts: str,
                           allow_exact_matches=True)
         return _from_pandas_nullable(m[out_l + out_r], out_schema)
 
-    return lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
-        merge, batch_format="pyarrow", **rayenv.remote_args())
+    return declare_schema(
+        lt.union(rt).repartition(buckets).groupby(_BUCKET).map_groups(
+            merge, batch_format="pyarrow", **rayenv.remote_args()),
+        out_schema)

@@ -462,6 +462,23 @@ def decode_partition(row: dict, columns: list[str] | None = None,
     return out
 
 
+def decoded_schema(row: dict, columns: list[str] | None = None) -> pa.Schema:
+    """Arrow schema of :func:`decode_partition`'s output for one manifest
+    row, from its lineage alone (no IO)."""
+    fields = []
+    for cm in row["columns"]:
+        name = cm["column"]
+        if columns is not None and name not in columns:
+            continue
+        if name == "tokens":
+            fields.append(pa.field("tokens", pa.list_(pa.int32())))
+        elif fmt.is_string(cm["dtype"]):
+            fields.append(pa.field(name, pa.string()))
+        else:
+            fields.append(pa.field(name, fmt.DTYPES[cm["dtype"]][1]))
+    return pa.schema(fields)
+
+
 def split_by_token_budget(n_tok: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Size-aware sub-partitioning: cut [start,end) row spans so each span's
     token sum ~<= budget (always >=1 row). Deterministic."""
@@ -696,10 +713,15 @@ def encode_job(input_paths, cfg: EncodeConfig, resume: bool = True,
     # retry_exceptions: transient IO/worker faults retry the task; commits
     # are idempotent (deterministic pids, atomic tmp+rename, manifest-last),
     # so a retried partition overwrites its own half-written output
-    return ds.map_batches(fn, batch_size=bs, batch_format="pyarrow",
-                          num_cpus=1, concurrency=cap,
-                          max_retries=3, retry_exceptions=True,
-                          **rayenv.remote_args())
+    # imported here, not at module level: decode and encode workers
+    # import this module and would otherwise pay for pandas
+    from .joins import declare_schema
+    return declare_schema(
+        ds.map_batches(fn, batch_size=bs, batch_format="pyarrow",
+                       num_cpus=1, concurrency=cap,
+                       max_retries=3, retry_exceptions=True,
+                       **rayenv.remote_args()),
+        manifest_rows_to_table([]).schema)
 
 
 def manifest_dataset(out_dir: str, n_blocks: int | None = None,
@@ -2119,9 +2141,17 @@ def decode_job(out_dir: str, columns: list[str] | None = None,
     import functools
     fn = functools.partial(decode_partition_batch, columns=columns)
     cap = _stage_cap(concurrency, task_cpus)
-    return ds.map_batches(fn, batch_size=1, batch_format="pyarrow",
-                          num_cpus=1, concurrency=cap,
-                          **rayenv.remote_args())
+    out = ds.map_batches(fn, batch_size=1, batch_format="pyarrow",
+                         num_cpus=1, concurrency=cap, **rayenv.remote_args())
+    # the output schema is known from lineage: declaring it spares
+    # schema() / to_arrow_refs() a limit(1) run that decodes a partition
+    # twice. Partitions of differing layouts declare nothing.
+    from .joins import declare_schema
+    schemas = [decoded_schema(r, columns) for r in kept] or [pa.schema(
+        [f for f in TOKENS_SCHEMA if f.name in (columns or TOKEN_COLUMNS)])]
+    if all(s.equals(schemas[0]) for s in schemas):
+        declare_schema(out, schemas[0])
+    return out
 
 
 def read_column_section(row: dict, column: str,

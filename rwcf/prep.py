@@ -21,8 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import rayenv, textops
-from .dedup import _shuffle_buckets
-from .joins import hash_bucket
+from .dedup import _BUCKETS
+from .joins import exchange, hash_bucket, output_schema
 
 __all__ = ["prep_corpus", "chunk_dedup_stats"]
 
@@ -43,7 +43,7 @@ def prep_corpus(ds, text_col: str = "text", id_col: str = "doc_id",
     is by the REAL text (the hash only routes), so fingerprint collisions
     cannot merge distinct documents."""
     langs = tuple(langs)
-    buckets = _shuffle_buckets()
+    buckets = _BUCKETS
 
     def filt(t: pa.Table) -> pa.Table:
         text = t.column(text_col)
@@ -73,12 +73,11 @@ def prep_corpus(ds, text_col: str = "text", id_col: str = "doc_id",
         first[1:] = codes[order][1:] != codes[order][:-1]
         return g.select(out_cols).take(pa.array(order[first]))
 
-    return (ds.map_batches(filt, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(survivors, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(filt, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    survivors, buckets=buckets,
+                    schema=output_schema(ds, out_cols[:-1],
+                                         [("n_words", pa.int64())]))
 
 
 def chunk_dedup_stats(ds, width: int = 64, stride: int = 48,
@@ -105,22 +104,18 @@ def chunk_dedup_stats(ds, width: int = 64, stride: int = 48,
     from ray.data.aggregate import Sum
 
     if buckets is None:
-        buckets = _shuffle_buckets()
+        buckets = _BUCKETS
     chunks = textops.chunk_docs_ds(ds, width=width, stride=stride,
                                    text_col=text_col, id_col=id_col)
     K = np.int64(1 << 20)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def route(t: pa.Table) -> pa.Table:
         lengths, payload = textops._text_chunks(t, "chunk_text")
         fp = textops.segment_poly_hash(lengths, payload)
         b = hash_bucket(fp.view(np.int64), buckets=buckets)
         return t.append_column("_b", pa.array(b))
 
     def partial(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "n_chunks": pa.array([], pa.int64()),
-                             "n_surviving": pa.array([], pa.int64())})
         txt = g.column("chunk_text").combine_chunks()
         enc = txt.dictionary_encode()
         if isinstance(enc, pa.ChunkedArray):
@@ -145,12 +140,12 @@ def chunk_dedup_stats(ds, width: int = 64, stride: int = 48,
                          "n_chunks": pa.array(n),
                          "n_surviving": pa.array(ns)})
 
-    out = (chunks.map_batches(add_bucket, batch_format="pyarrow",
-                              **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(partial, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    out = (exchange(chunks.map_batches(route, batch_format="pyarrow",
+                                       **rayenv.remote_args()),
+                    partial, buckets=buckets,
+                    schema=pa.schema([(id_col, pa.int64()),
+                                      ("n_chunks", pa.int64()),
+                                      ("n_surviving", pa.int64())]))
            .groupby(id_col)
            .aggregate(Sum("n_chunks", alias_name="n_chunks"),
                       Sum("n_surviving", alias_name="n_surviving")))

@@ -928,11 +928,8 @@ def small_quantity_revenue(lineitem, part, brand: str = "Brand#13",
                         .to_numpy(zero_copy_only=False)[mask] * 100) \
             .astype(np.int64)
         pk = pk[mask]
-        from .joins import hash_bucket
-        return pa.table({
-            "_b": pa.array(hash_bucket(pk, buckets=buckets)),
-            "pk": pa.array(pk), "qty": pa.array(qty),
-            "cents": pa.array(cents)})
+        return pa.table({"pk": pa.array(pk), "qty": pa.array(qty),
+                         "cents": pa.array(cents)})
 
     rows = lineitem.map_batches(li_filter, batch_format="pyarrow",
                                 **rayenv.remote_args())
@@ -970,9 +967,10 @@ def small_quantity_revenue(lineitem, part, brand: str = "Brand#13",
                 [0 if empty else int(pc.sum(t.column("n_rows"))
                                      .as_py() or 0)], pa.int64())})
 
-    return (rows.repartition(buckets).groupby("_b")
-            .map_groups(bucket_eval, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    from .joins import exchange
+    return (exchange(rows, bucket_eval, buckets=buckets, keys=["pk"],
+                     schema=pa.schema([("rev_cents", pa.int64()),
+                                       ("n_rows", pa.int64())]))
             .repartition(1)
             .map_batches(final, batch_format="pyarrow",
                          **rayenv.remote_args()))
@@ -2100,7 +2098,7 @@ def sole_return_suppliers(lineitem, supplier, buckets: int = 32):
     pass finds orders with >= 2 suppliers and exactly one R-supplier —
     emitting (suppkey, 1) rows only for those; a supplier-sized count
     groupby and a name join finish."""
-    from .joins import hash_bucket
+    from .joins import exchange
 
     def li_part(t: pa.Table) -> pa.Table:
         g = pa.table({
@@ -2109,11 +2107,8 @@ def sole_return_suppliers(lineitem, supplier, buckets: int = 32):
             "had_r": pc.cast(pc.equal(t.column("l_returnflag"), "R"),
                              pa.int64())}) \
             .group_by(["ok", "sk"]).aggregate([("had_r", "max")])
-        b = hash_bucket(g.column("ok").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
         return pa.table({"ok": g.column("ok"), "sk": g.column("sk"),
-                         "had_r": g.column("had_r_max"),
-                         "_b": pa.array(b)})
+                         "had_r": g.column("had_r_max")})
 
     def bucket_kernel(g: pa.Table) -> pa.Table:
         m = g.select(["ok", "sk", "had_r"]).group_by(["ok", "sk"]) \
@@ -2128,9 +2123,6 @@ def sole_return_suppliers(lineitem, supplier, buckets: int = 32):
         if ok.size > 1:
             new[1:] = ok[1:] != ok[:-1]
         seg = np.flatnonzero(new)
-        if not ok.size:
-            return pa.table({"sk": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
         counts = np.diff(np.append(seg, ok.size))
         n_r = np.add.reduceat(hr, seg)
         # qualifying orders: >=2 suppliers, exactly one with a return
@@ -2143,12 +2135,10 @@ def sole_return_suppliers(lineitem, supplier, buckets: int = 32):
         return pa.table({"sk": pa.array(keys), "n": pa.array(totals)})
 
     from ray.data.aggregate import Sum
-    agg = (lineitem.map_batches(li_part, batch_format="pyarrow",
-                                **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(bucket_kernel, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    agg = (exchange(lineitem.map_batches(li_part, batch_format="pyarrow",
+                                         **rayenv.remote_args()),
+                    bucket_kernel, buckets=buckets, keys=["ok"],
+                    schema=pa.schema([("sk", pa.int64()), ("n", pa.int64())]))
            .groupby("sk").aggregate(Sum("n", alias_name="n_orders")))
 
     def sup_proj(t: pa.Table) -> pa.Table:
@@ -2358,18 +2348,16 @@ def sole_failure_suppliers(lineitem, returnflag: str = "R",
             .to_numpy(zero_copy_only=False).astype(np.int64)
         # distinct (order, supplier) with per-pair failure counts
         uok, usk, fsum = _pair_segsum(ok, sk, fail)
+        # routed by order key here: this exchange runs without the
+        # repartition cap, so it stays a plain groupby
         return pa.table({"ok": pa.array(uok), "sk": pa.array(usk),
-                         "fails": pa.array(fsum)})
+                         "fails": pa.array(fsum),
+                         "_b": pa.array(hash_bucket(uok, buckets=buckets))})
 
     rows = lineitem.select_columns(
         ["l_orderkey", "l_suppkey", "l_returnflag"]) \
         .map_batches(pairs, batch_format="pyarrow",
                      **rayenv.remote_args())
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = hash_bucket(t.column("ok").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return t.append_column("_b", pa.array(b))
 
     def in_bucket(g: pa.Table) -> pa.Table:
         ok = g.column("ok").combine_chunks() \
@@ -2396,10 +2384,8 @@ def sole_failure_suppliers(lineitem, returnflag: str = "R",
         return pa.table({"s_suppkey": pa.array(qk),
                          "numwait": pa.array(qn)})
 
-    agg = rows.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args()) \
-        .groupby("_b").map_groups(in_bucket, batch_format="pyarrow",
-                                  **rayenv.remote_args()) \
+    agg = rows.groupby("_b").map_groups(in_bucket, batch_format="pyarrow",
+                                        **rayenv.remote_args()) \
         .groupby("s_suppkey").sum("numwait")
     import pandas as pd
     df = agg.to_pandas().rename(columns={"sum(numwait)": "numwait"})

@@ -23,13 +23,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from . import rayenv
-from .joins import hash_bucket
+from .joins import exchange
 
 __all__ = ["write_partitioned"]
-
-_B = "__rwcf_sink_b"
-
 
 def write_partitioned(ds, out_dir: str, id_col: str, buckets: int = 32,
                       resume: bool = True):
@@ -45,13 +41,8 @@ def write_partitioned(ds, out_dir: str, id_col: str, buckets: int = 32,
     standard bucketed-shuffle bound)."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def route(t: pa.Table) -> pa.Table:
-        b = hash_bucket(t.column(id_col).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return t.append_column(_B, pa.array(b))
-
     def write_bucket(g: pa.Table) -> pa.Table:
-        b = int(g.column(_B)[0].as_py())
+        b = int(g.column("_b")[0].as_py())
         path = os.path.join(out_dir, f"part-{b:05d}.parquet")
         out_row = {"bucket": pa.array([b], pa.int32()),
                    "rows": pa.array([g.num_rows], pa.int64()),
@@ -59,7 +50,7 @@ def write_partitioned(ds, out_dir: str, id_col: str, buckets: int = 32,
         if resume and os.path.exists(path):
             return pa.table({**out_row,
                              "skipped": pa.array([True], pa.bool_())})
-        t = g.drop_columns([_B])
+        t = g.drop_columns(["_b"])
         order = pa.compute.sort_indices(t, sort_keys=[(id_col, "ascending")])
         t = t.take(order)
         tmp = path + f".tmp{os.getpid()}"
@@ -67,9 +58,8 @@ def write_partitioned(ds, out_dir: str, id_col: str, buckets: int = 32,
         os.replace(tmp, path)  # atomic commit: whole partitions only
         return pa.table({**out_row, "skipped": pa.array([False], pa.bool_())})
 
-    return (ds.map_batches(route, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby(_B)
-            .map_groups(write_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, write_bucket, buckets=buckets, keys=[id_col],
+                    schema=pa.schema([("bucket", pa.int32()),
+                                      ("rows", pa.int64()),
+                                      ("path", pa.string()),
+                                      ("skipped", pa.bool_())]))

@@ -36,10 +36,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import format as fmt
 from . import pipeline, rayenv
 from .joins import hash_bucket
-from .pipeline import EncodeConfig, manifest_rows_to_table
+from .pipeline import EncodeConfig, decoded_schema, manifest_rows_to_table
 
 BUCKETSPEC = "bucketspec.json"
 
@@ -159,24 +158,6 @@ def bucket_store(input_paths, cfg: EncodeConfig, key: str = "doc_id",
 
     return ds.groupby("_bucket").map_groups(
         encode_bucket, batch_format="pyarrow", **rayenv.remote_args())
-
-
-def _row_schema(row: dict, columns: list[str] | None) -> pa.Schema:
-    """Arrow schema of a partition's decode output, derived purely from
-    lineage metadata (zero IO) — used to synthesize the empty side of an
-    outer-ish join when a bucket exists on one store only."""
-    fields = []
-    for cm in row["columns"]:
-        name = cm["column"]
-        if columns is not None and name not in columns:
-            continue
-        if name == "tokens":
-            fields.append(pa.field("tokens", pa.list_(pa.int32())))
-        elif fmt.is_string(cm["dtype"]):
-            fields.append(pa.field(name, pa.string()))
-        else:
-            fields.append(pa.field(name, fmt.DTYPES[cm["dtype"]][1]))
-    return pa.schema(fields)
 
 
 def _decode_bucket(rows: list[dict], columns: list[str] | None) -> pa.Table:
@@ -309,9 +290,9 @@ def storage_partitioned_join(dir_a: str, dir_b: str,
     else:  # left / anti keep every a bucket
         buckets = sorted(by_a)
     # empty-side schemas come from any manifest row's column metadata
-    schema_a = _row_schema(next(iter(by_a.values()))[0], columns_a) \
+    schema_a = decoded_schema(next(iter(by_a.values()))[0], columns_a) \
         if by_a else None
-    schema_b = _row_schema(next(iter(by_b.values()))[0], columns_b) \
+    schema_b = decoded_schema(next(iter(by_b.values()))[0], columns_b) \
         if by_b else None
     if schema_a is None or (schema_b is None and how in ("left", "outer")):
         raise ValueError("cannot join: a side has no partitions" if
@@ -397,7 +378,7 @@ def storage_partitioned_join_multi(dirs: list[str],
             m.setdefault(int(lin["bucket"]), []).append(r)
         maps.append(m)
     buckets = sorted(set.intersection(*(set(m) for m in maps)))
-    schemas = [_row_schema(next(iter(m.values()))[0], c) if m else None
+    schemas = [decoded_schema(next(iter(m.values()))[0], c) if m else None
                for m, c in zip(maps, cols)]
     if any(s is None for s in schemas):
         return rd.from_arrow(_fold_empty(schemas, key, suffix))
@@ -526,9 +507,9 @@ def materialize_join_view(view_dir: str, dir_a: str, dir_b: str,
         sorted(set(by_a) & set(by_b)))
     view_rows = by_bucket(view_dir) if os.path.isdir(
         os.path.join(view_dir, "manifest")) else {}
-    schema_a = _row_schema(next(iter(by_a.values()))[0], columns_a) \
+    schema_a = decoded_schema(next(iter(by_a.values()))[0], columns_a) \
         if by_a else None
-    schema_b = _row_schema(next(iter(by_b.values()))[0], columns_b) \
+    schema_b = decoded_schema(next(iter(by_b.values()))[0], columns_b) \
         if by_b else None
 
     work = []
@@ -666,7 +647,7 @@ def range_merge_join(dir_a: str, dir_b: str, on: str = "doc_id",
             f"{max_avg_fanout} — inputs not clustered on {on!r}; run "
             "pipeline.cluster_store first or use joins.hash_join")
 
-    schema_b = _row_schema(rows_b[0], columns_b) if rows_b else None
+    schema_b = decoded_schema(rows_b[0], columns_b) if rows_b else None
     if schema_b is None and how == "left":
         raise ValueError("left join needs at least one b partition")
     jt = _JOIN_TYPES[how]
@@ -701,7 +682,7 @@ def range_merge_join(dir_a: str, dir_b: str, on: str = "doc_id",
             outs.append(_local_join(ta, tb, on, jt, suffix))
         if not outs:
             return _empty_join_schema(
-                _row_schema(rows_a[0], columns_a), schema_b, on, jt,
+                decoded_schema(rows_a[0], columns_a), schema_b, on, jt,
                 suffix)
         return pa.concat_tables(outs, promote_options="default")
 

@@ -19,6 +19,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import rayenv
+from .joins import exchange, output_schema
+from .joins import int64_fields as _i64
 
 _UNIT_FACTOR = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
@@ -144,12 +146,6 @@ def session_windows(ds, gap_s: int = 1800, key: str = "user_id",
     dispatch-bound); inside each bucket a single sort by (key, ts) and one
     vectorized boundary pass resolve every key's sessions at once."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def sessions(g: pa.Table) -> pa.Table:
         # Arrow-native: one sort by (key, ts), unit-safe floor to epoch
         # seconds, then a single vectorized boundary pass — session rows
@@ -159,10 +155,6 @@ def session_windows(ds, gap_s: int = 1800, key: str = "user_id",
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending")]))
         ts = _epoch_seconds_floor(g.column(ts_col).combine_chunks())
-        if not ts.size:
-            return pa.table({key: pa.array([], g.schema.field(key).type),
-                             "session_start": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64())})
         kv = g.column(key).combine_chunks()
         kn = kv.to_numpy(zero_copy_only=False)
         new_key = np.concatenate(([True], kn[1:] != kn[:-1]))
@@ -173,12 +165,9 @@ def session_windows(ds, gap_s: int = 1800, key: str = "user_id",
                          "session_start": pa.array(ts[bnd]),
                          "n_events": pa.array(n_events.astype(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(sessions, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, sessions, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [key], _i64("session_start",
+                                                         "n_events")))
 
 
 def running_totals(ds, key: str = "user_id", ts_col: str = "ts",
@@ -205,23 +194,12 @@ def running_totals(ds, key: str = "user_id", ts_col: str = "ts",
     documented, not needed at event-table cardinalities.
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def cumulate(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending"),
                                                  (id_col, "ascending")]))
         n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key: pa.array([], g.schema.field(key).type),
-                             "row_num": pa.array([], pa.int64()),
-                             "run_sum1000": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         v = g.column(val_col).combine_chunks().to_numpy(
             zero_copy_only=False)
@@ -245,12 +223,9 @@ def running_totals(ds, key: str = "user_id", ts_col: str = "ts",
                          "row_num": pa.array(row_num),
                          "run_sum1000": pa.array(run_sum)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(cumulate, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, cumulate, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key],
+                                         _i64("row_num", "run_sum1000")))
 
 
 def moving_range_sum(ds, range_s: int = 3600, key: str = "user_id",
@@ -280,23 +255,12 @@ def moving_range_sum(ds, range_s: int = 3600, key: str = "user_id",
     if range_s < 0:
         raise ValueError("range_s must be >= 0")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def window_sum(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending"),
                                                  (id_col, "ascending")]))
         n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key: pa.array([], g.schema.field(key).type),
-                             "n_win": pa.array([], pa.int64()),
-                             "win_sum1000": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         tsec = _epoch_seconds_floor(g.column(ts_col))
         v = np.asarray(g.column(val_col).combine_chunks()
@@ -318,12 +282,9 @@ def moving_range_sum(ds, range_s: int = 3600, key: str = "user_id",
                          "n_win": pa.array((hi - lo).astype(np.int64)),
                          "win_sum1000": pa.array(cs[hi] - cs[lo])})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(window_sum, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, window_sum, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key],
+                                         _i64("n_win", "win_sum1000")))
 
 
 def funnel_steps(ds, steps=("view", "click", "purchase"),
@@ -350,12 +311,6 @@ def funnel_steps(ds, steps=("view", "click", "purchase"),
     hop inside a bucket is one sorted merge over that bucket's events,
     every step level vectorized across all users at once."""
     W = np.int64(window_s) * np.int64(1_000_000)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
 
     def in_bucket(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -390,12 +345,8 @@ def funnel_steps(ds, steps=("view", "click", "purchase"),
         return pa.table({key: pa.array(out["u"].to_numpy()),
                          "n_steps": pa.array(out["l"].to_numpy(np.int64))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(in_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, in_bucket, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [key], _i64("n_steps")))
 
 
 def window_distinct_users(ds, window_s: int = 3600, key: str = "user_id",
@@ -412,16 +363,11 @@ def window_distinct_users(ds, window_s: int = 3600, key: str = "user_id",
     must fit a bucket worker; for billions of uniques per window swap
     the in-bucket distinct for the HLL register merge (rwcf.analytics)
     at the same shape."""
-    from .joins import hash_bucket
-
     def pairs(t: pa.Table) -> pa.Table:
         epoch = _epoch_seconds_floor(t.column(ts_col).combine_chunks())
         win = (epoch // np.int64(window_s)) * np.int64(window_s)
-        u = pa.table({"win": pa.array(win), key: t.column(key)}) \
+        return pa.table({"win": pa.array(win), key: t.column(key)}) \
             .group_by(["win", key]).aggregate([])
-        b = hash_bucket(u.column("win").to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
 
     def count_bucket(g: pa.Table) -> pa.Table:
         u = g.select(["win", key]).group_by(["win", key]).aggregate([])
@@ -431,12 +377,10 @@ def window_distinct_users(ds, window_s: int = 3600, key: str = "user_id",
                          "n_users": pc.cast(agg.column(f"{key}_count"),
                                             pa.int64())})
 
-    return (ds.map_batches(pairs, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(count_bucket, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(pairs, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    count_bucket, buckets=buckets, keys=["win"],
+                    schema=pa.schema(_i64("win_start", "n_users")))
 
 
 def cohort_retention(ds, day_s: int = 86400, key: str = "user_id",
@@ -456,16 +400,11 @@ def cohort_retention(ds, day_s: int = 86400, key: str = "user_id",
     same floor semantics as the SQL oracle."""
     from ray.data.aggregate import Sum
 
-    from .joins import hash_bucket
-
     def pairs(t: pa.Table) -> pa.Table:
         epoch = _epoch_seconds_floor(t.column(ts_col).combine_chunks())
         day = epoch // np.int64(day_s)
-        u = pa.table({key: t.column(key), "day": pa.array(day)}) \
+        return pa.table({key: t.column(key), "day": pa.array(day)}) \
             .group_by([key, "day"]).aggregate([])
-        b = hash_bucket(u.column(key).to_numpy(zero_copy_only=False),
-                        buckets=buckets)
-        return u.append_column("_b", pa.array(b))
 
     def per_user(g: pa.Table) -> pa.Table:
         kv = g.column(key).to_numpy(zero_copy_only=False)
@@ -493,12 +432,10 @@ def cohort_retention(ds, day_s: int = 86400, key: str = "user_id",
                          "offset": g2.column("offset"),
                          "n": g2.column("n_sum")})
 
-    out = (ds.map_batches(pairs, batch_format="pyarrow",
-                          **rayenv.remote_args())
-           .repartition(buckets)
-           .groupby("_b")
-           .map_groups(per_user, batch_format="pyarrow",
-                       **rayenv.remote_args())
+    out = (exchange(ds.map_batches(pairs, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    per_user, buckets=buckets, keys=[key],
+                    schema=pa.schema(_i64("cohort_day", "offset", "n")))
            .groupby(["cohort_day", "offset"])
            .aggregate(Sum("n", alias_name="n_users")))
 
@@ -525,22 +462,12 @@ def event_deltas(ds, key: str = "user_id", ts_col: str = "ts",
     :func:`running_totals`.
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def deltas(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending"),
                                                  (id_col, "ascending")]))
         n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key: pa.array([], g.schema.field(key).type),
-                             "gap_s": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         tsec = _epoch_seconds_floor(g.column(ts_col))
         gap = np.empty(n, dtype=np.int64)
@@ -552,12 +479,8 @@ def event_deltas(ds, key: str = "user_id", ts_col: str = "ts",
                          "gap_s": pa.array(
                              np.ma.masked_array(gap, mask=first))})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(deltas, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, deltas, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key], _i64("gap_s")))
 
 
 def rows_window_sum(ds, preceding: int = 4, key: str = "user_id",
@@ -580,23 +503,12 @@ def rows_window_sum(ds, preceding: int = 4, key: str = "user_id",
     if preceding < 0:
         raise ValueError("preceding must be >= 0")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets)))
-
     def window_sum(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending"),
                                                  (id_col, "ascending")]))
         n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key: pa.array([], g.schema.field(key).type),
-                             "n_win": pa.array([], pa.int64()),
-                             "win_sum1000": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         v = np.asarray(g.column(val_col).combine_chunks()
                        .to_numpy(zero_copy_only=False), dtype=np.float64)
@@ -613,12 +525,9 @@ def rows_window_sum(ds, preceding: int = 4, key: str = "user_id",
                          "n_win": pa.array((idx - lo + 1).astype(np.int64)),
                          "win_sum1000": pa.array(cs[idx + 1] - cs[lo])})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(window_sum, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, window_sum, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key],
+                                         _i64("n_win", "win_sum1000")))
 
 
 def latest_event_per_key(ds, key: str = "user_id", ts_col: str = "ts",
@@ -683,28 +592,17 @@ def latest_event_per_key(ds, key: str = "user_id", ts_col: str = "ts",
         v1000 = np.where(np.isnan(v), np.int64(0),
                          np.floor(v * 1000)).astype(np.int64)
         keep = pa.array(last)
-        out = pa.table({id_col: t.column(id_col).filter(keep),
-                        key: t.column(key).filter(keep),
-                        "_ts_ticks": pa.array(ticks),
-                        "_ts_s": pa.array(tsec),
-                        "v1000": pa.array(v1000)})
-        from .joins import hash_bucket
-        kv = out.column(key).combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return out.append_column("_b",
-                                 pa.array(hash_bucket(kv, buckets=buckets)))
+        return pa.table({id_col: t.column(id_col).filter(keep),
+                         key: t.column(key).filter(keep),
+                         "_ts_ticks": pa.array(ticks),
+                         "_ts_s": pa.array(tsec),
+                         "v1000": pa.array(v1000)})
 
     def final_last(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         g = g.take(pc.sort_indices(g, sort_keys=[
             (key, "ascending"), ("_ts_ticks", "ascending"),
             (id_col, "ascending")]))
-        n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             key: pa.array([], g.schema.field(key).type),
-                             out_ts: pa.array([], pa.int64()),
-                             "v1000": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         last = pa.array(_cut(kn))
         return pa.table({id_col: g.column(id_col).filter(last),
@@ -712,12 +610,11 @@ def latest_event_per_key(ds, key: str = "user_id", ts_col: str = "ts",
                          out_ts: g.column("_ts_s").filter(last),
                          "v1000": g.column("v1000").filter(last)})
 
-    return (ds.map_batches(local_last, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(final_last, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(local_last, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    final_last, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key],
+                                         _i64(out_ts, "v1000")))
 
 
 def first_event_per_key(ds, key: str = "user_id", ts_col: str = "ts",
@@ -752,24 +649,17 @@ def event_transitions(ds, key: str = "user_id", ts_col: str = "ts",
     the buckets."""
 
     def project(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         ticks = pc.cast(t.column(ts_col).combine_chunks(), pa.int64())
-        out = pa.table({key: t.column(key), "_t": ticks,
-                        id_col: t.column(id_col),
-                        type_col: t.column(type_col)})
-        return out.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
+        return pa.table({key: t.column(key), "_t": ticks,
+                         id_col: t.column(id_col),
+                         type_col: t.column(type_col)})
 
     def pairs(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[
             (key, "ascending"), ("_t", "ascending"),
             (id_col, "ascending")]))
-        n = g.num_rows
-        if n < 2:
-            return pa.table({"from_type": pa.array([], pa.string()),
-                             "to_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
+        if g.num_rows < 2:
+            return schema.empty_table()
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         tv = g.column(type_col).combine_chunks() \
             .to_numpy(zero_copy_only=False)
@@ -786,12 +676,11 @@ def event_transitions(ds, key: str = "user_id", ts_col: str = "ts",
             "n": pa.array(cnt.astype(np.int64))})
 
     from ray.data.aggregate import Sum
-    return (ds.map_batches(project, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    schema = pa.schema([("from_type", pa.string()), ("to_type", pa.string()),
+                        ("n", pa.int64())])
+    return (exchange(ds.map_batches(project, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     pairs, buckets=buckets, keys=[key], schema=schema)
             .groupby(["from_type", "to_type"])
             .aggregate(Sum("n", alias_name="n")))
 
@@ -818,17 +707,13 @@ def time_since_event(ds, match_type: str = "purchase",
     start."""
 
     def project(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        out = pa.table({key: t.column(key),
-                        "_t": pc.cast(t.column(ts_col).combine_chunks(),
-                                      pa.int64()),
-                        "_s": pa.array(_epoch_seconds_floor(
-                            t.column(ts_col))),
-                        id_col: t.column(id_col),
-                        type_col: t.column(type_col)})
-        return out.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
+        return pa.table({key: t.column(key),
+                         "_t": pc.cast(t.column(ts_col).combine_chunks(),
+                                       pa.int64()),
+                         "_s": pa.array(_epoch_seconds_floor(
+                             t.column(ts_col))),
+                         id_col: t.column(id_col),
+                         type_col: t.column(type_col)})
 
     def recency(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[
@@ -838,8 +723,6 @@ def time_since_event(ds, match_type: str = "purchase",
         empty = pa.table({id_col: pa.array([], pa.int64()),
                           key: pa.array([], pa.int64()),
                           "secs_since": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         secs = g.column("_s").to_numpy(zero_copy_only=False)
         is_m = g.column(type_col).combine_chunks() \
@@ -864,12 +747,11 @@ def time_since_event(ds, match_type: str = "purchase",
             "secs_since": pa.array(
                 (secs[valid] - secs[j[valid]]).astype(np.int64))})
 
-    return (ds.map_batches(project, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(recency, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(project, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    recency, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [id_col, key],
+                                         _i64("secs_since")))
 
 
 def session_conversion(ds, gap_s: int = 1800,
@@ -890,20 +772,10 @@ def session_conversion(ds, gap_s: int = 1800,
     flag resolve every user at once. The rollup to per-user counts is
     bucket-local (a bucket holds whole keys), so no second exchange."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
-
     def conv(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending")]))
         ts = _epoch_seconds_floor(g.column(ts_col).combine_chunks())
-        if not ts.size:
-            return pa.table({key: pa.array([], g.schema.field(key).type),
-                             "n_sessions": pa.array([], pa.int64()),
-                             "n_converted": pa.array([], pa.int64())})
         kv = g.column(key).combine_chunks()
         kn = kv.to_numpy(zero_copy_only=False)
         is_conv = pc.equal(g.column(type_col).combine_chunks(),
@@ -928,12 +800,9 @@ def session_conversion(ds, gap_s: int = 1800,
             "n_sessions": pa.array(counts.astype(np.int64)),
             "n_converted": pa.array(conv_counts)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(conv, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds, conv, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [key], _i64("n_sessions",
+                                                         "n_converted")))
 
 
 def peak_concurrency(ds, gap_s: int = 1800, key: str = "user_id",
@@ -958,19 +827,10 @@ def peak_concurrency(ds, gap_s: int = 1800, key: str = "user_id",
     second distributed pass and no corpus-sized driver state."""
     import pandas as pd
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
-
     def bounds(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending")]))
         ts = _epoch_seconds_floor(g.column(ts_col).combine_chunks())
-        if not ts.size:
-            return pa.table({"t": pa.array([], pa.int64()),
-                             "nd": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks() \
             .to_numpy(zero_copy_only=False)
         new_key = np.concatenate(([True], kn[1:] != kn[:-1]))
@@ -987,13 +847,8 @@ def peak_concurrency(ds, gap_s: int = 1800, key: str = "user_id",
                 np.full(starts.size, -1, np.int64),
                 np.full(ends.size, 1, np.int64))))})
 
-    boundaries = (ds.map_batches(add_bucket, batch_format="pyarrow",
-                                 **rayenv.remote_args())
-                  .repartition(buckets)
-                  .groupby("_b")
-                  .map_groups(bounds, batch_format="pyarrow",
-                              **rayenv.remote_args())
-                  .sort(["t", "nd"]))
+    boundaries = exchange(ds, bounds, buckets=buckets, keys=[key],
+                          schema=pa.schema(_i64("t", "nd"))).sort(["t", "nd"])
 
     def scan_summary(t: pa.Table) -> pa.Table:
         d = -t.column("nd").combine_chunks() \
@@ -1047,14 +902,11 @@ def windowed_pair_join(ds, from_type: str = "purchase",
     composite key — no per-user dispatch, no pair materialization
     (counts, not pairs, leave the bucket)."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
+    def project(t: pa.Table) -> pa.Table:
         sel = pc.is_in(t.column(type_col),
                        value_set=pa.array([from_type, to_type]))
         t = t.filter(sel)
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         return pa.table({
-            "_b": pa.array(hash_bucket(kv, buckets=buckets)),
             key: t.column(key),
             "es": pa.array(_epoch_seconds_floor(
                 t.column(ts_col).combine_chunks())),
@@ -1067,9 +919,6 @@ def windowed_pair_join(ds, from_type: str = "purchase",
             .to_numpy(zero_copy_only=False)
         isf = g.column("is_from").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        if kn.size == 0:
-            return pa.table({key: pa.array([], pa.int64()),
-                             "n_pairs": pa.array([], pa.int64())})
         # composite monotonic key: user ordinal * span + time offset.
         # span bounds the per-key time range; int64 holds ordinals x
         # span comfortably for realistic corpora (documented bound)
@@ -1090,12 +939,10 @@ def windowed_pair_join(ds, from_type: str = "purchase",
         return pa.table({key: pa.array(u[keep]),
                          "n_pairs": pa.array(counts[keep])})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(count_pairs, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(project, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    count_pairs, buckets=buckets, keys=[key],
+                    schema=pa.schema(_i64(key, "n_pairs")))
 
 
 def top_event_paths(ds, n: int = 3, k: int = 10, key: str = "user_id",
@@ -1115,12 +962,6 @@ def top_event_paths(ds, n: int = 3, k: int = 10, key: str = "user_id",
     final finish it."""
     from ray.data.aggregate import Sum
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
-
     def paths(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[
             (key, "ascending"), (ts_col, "ascending"),
@@ -1131,8 +972,7 @@ def top_event_paths(ds, n: int = 3, k: int = 10, key: str = "user_id",
             .to_numpy(zero_copy_only=False).astype(str)
         m = kn.size
         if m < n:
-            return pa.table({"path": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
+            return schema.empty_table()
         valid = np.ones(m - n + 1, dtype=bool)
         for j in range(1, n):
             valid &= kn[j:m - n + 1 + j] == kn[:m - n + 1]
@@ -1145,12 +985,9 @@ def top_event_paths(ds, n: int = 3, k: int = 10, key: str = "user_id",
         return pa.table({"path": pa.array(u.astype(object), pa.string()),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    per_path = (ds.map_batches(add_bucket, batch_format="pyarrow",
-                               **rayenv.remote_args())
-                .repartition(buckets)
-                .groupby("_b")
-                .map_groups(paths, batch_format="pyarrow",
-                            **rayenv.remote_args())
+    schema = pa.schema([("path", pa.string()), ("cnt", pa.int64())])
+    per_path = (exchange(ds, paths, buckets=buckets, keys=[key],
+                         schema=schema)
                 .groupby("path")
                 .aggregate(Sum("cnt", alias_name="n_occurrences")))
 
@@ -1190,12 +1027,6 @@ def median_gap_per_user(ds, key: str = "user_id", ts_col: str = "ts",
     in a single sort + segmented index pass — deriving data inside
     the bucket avoids a second exchange entirely."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_b", pa.array(hash_bucket(kv, buckets=buckets)))
-
     def med(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending")]))
@@ -1203,9 +1034,7 @@ def median_gap_per_user(ds, key: str = "user_id", ts_col: str = "ts",
         kn = g.column(key).combine_chunks() \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         if kn.size < 2:
-            return pa.table({key: pa.array([], pa.int64()),
-                             "n_gaps": pa.array([], pa.int64()),
-                             "median_gap_s": pa.array([], pa.int64())})
+            return schema.empty_table()
         same = kn[1:] == kn[:-1]
         gaps = np.diff(ts)[same]
         users = kn[1:][same]
@@ -1222,12 +1051,8 @@ def median_gap_per_user(ds, key: str = "user_id", ts_col: str = "ts",
                          "n_gaps": pa.array(counts.astype(np.int64)),
                          "median_gap_s": pa.array(gaps[med_idx])})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(med, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    schema = pa.schema(_i64(key, "n_gaps", "median_gap_s"))
+    return exchange(ds, med, buckets=buckets, keys=[key], schema=schema)
 
 
 def longest_streak_per_user(ds, key: str = "user_id", ts_col: str = "ts",
@@ -1245,22 +1070,11 @@ def longest_streak_per_user(ds, key: str = "user_id", ts_col: str = "ts",
     Output: (key, n_events, max_streak).
     """
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).combine_chunks().to_numpy(zero_copy_only=False)
-        return (t.select([key, ts_col, type_col, id_col])
-                .append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets))))
-
     def streaks(g: pa.Table) -> pa.Table:
         g = g.take(pc.sort_indices(g, sort_keys=[(key, "ascending"),
                                                  (ts_col, "ascending"),
                                                  (id_col, "ascending")]))
         n = g.num_rows
-        if n == 0:
-            return pa.table({key: pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "max_streak": pa.array([], pa.int64())})
         kn = g.column(key).combine_chunks().to_numpy(zero_copy_only=False)
         tv = g.column(type_col).combine_chunks()
         # dictionary-encode the type for a fast != on codes
@@ -1280,12 +1094,10 @@ def longest_streak_per_user(ds, key: str = "user_id", ts_col: str = "ts",
                          "n_events": pa.array(n_events),
                          "max_streak": pa.array(max_streak)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(streaks, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.select_columns([key, ts_col, type_col, id_col]),
+                    streaks, buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [key], _i64("n_events",
+                                                         "max_streak")))
 
 
 def market_basket_pairs(ds, key: str = "user_id", ts_col: str = "ts",
@@ -1305,7 +1117,6 @@ def market_basket_pairs(ds, key: str = "user_id", ts_col: str = "ts",
     item vocabulary (event-type domain), the stated contract."""
 
     def triples(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
         us = t.column(key).to_numpy(zero_copy_only=False)
         day = (_epoch_micros(t.column(ts_col)) //
                (day_s * 1_000_000)).astype(np.int64)
@@ -1315,21 +1126,13 @@ def market_basket_pairs(ds, key: str = "user_id", ts_col: str = "ts",
         return pa.table({
             "k": pa.array(df["k"].to_numpy().astype(np.int64)),
             "d": pa.array(df["d"].to_numpy().astype(np.int64)),
-            "i": pa.array(df["i"].to_numpy(), pa.string()),
-            "_b": pa.array(hash_bucket(df["k"].to_numpy(),
-                                       df["d"].to_numpy(),
-                                       buckets=buckets))})
+            "i": pa.array(df["i"].to_numpy(), pa.string())})
 
     def pairs(g: pa.Table) -> pa.Table:
         from .fuzzy import _block_pairs
         k = g.column("k").combine_chunks().to_numpy(zero_copy_only=False)
         d = g.column("d").combine_chunks().to_numpy(zero_copy_only=False)
         i = g.column("i").combine_chunks().to_numpy(zero_copy_only=False)
-        empty = pa.table({"t1": pa.array([], pa.string()),
-                          "t2": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64())})
-        if not k.size:
-            return empty
         order = np.lexsort((i, d, k))
         k, d, i = k[order], d[order], i[order]
         # cross-batch duplicate triples collapse here
@@ -1341,7 +1144,7 @@ def market_basket_pairs(ds, key: str = "user_id", ts_col: str = "ts",
         seg = np.flatnonzero(new_basket)
         ia, ib = _block_pairs(seg, k.size)
         if not ia.size:
-            return empty
+            return schema.empty_table()
         # items are sorted within a basket, so i[ia] < i[ib] already
         pdf = (pd.DataFrame({"t1": i[ia], "t2": i[ib]})
                .groupby(["t1", "t2"], as_index=False).size())
@@ -1351,12 +1154,11 @@ def market_basket_pairs(ds, key: str = "user_id", ts_col: str = "ts",
                                        .astype(np.int64))})
 
     from ray.data.aggregate import Sum
-    return (ds.map_batches(triples, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(pairs, batch_format="pyarrow",
-                        **rayenv.remote_args())
+    schema = pa.schema([("t1", pa.string()), ("t2", pa.string()),
+                        ("n", pa.int64())])
+    return (exchange(ds.map_batches(triples, batch_format="pyarrow",
+                                    **rayenv.remote_args()),
+                     pairs, buckets=buckets, keys=["k", "d"], schema=schema)
             .groupby(["t1", "t2"])
             .aggregate(Sum("n", alias_name="support")))
 
@@ -1388,16 +1190,13 @@ def windowed_dedup_events(ds, key: str = "user_id",
         g = df.groupby(["k", "t", "w"], as_index=False, sort=False)
         first = g.first()
         cnt = g.size()["size"]
-        from .joins import hash_bucket
         return pa.table({
             "k": pa.array(first["k"].to_numpy().astype(np.int64)),
             "t": pa.array(first["t"].to_numpy(), pa.string()),
             "w": pa.array(first["w"].to_numpy().astype(np.int64)),
             "mic": pa.array(first["mic"].to_numpy().astype(np.int64)),
             "id": pa.array(first["id"].to_numpy().astype(np.int64)),
-            "cnt": pa.array(cnt.to_numpy().astype(np.int64)),
-            "_b": pa.array(hash_bucket(first["k"].to_numpy(),
-                                       buckets=buckets))})
+            "cnt": pa.array(cnt.to_numpy().astype(np.int64))})
 
     def merge(g: pa.Table) -> pa.Table:
         k = g.column("k").combine_chunks().to_numpy(zero_copy_only=False)
@@ -1409,12 +1208,6 @@ def windowed_dedup_events(ds, key: str = "user_id",
             zero_copy_only=False)
         cnt = g.column("cnt").combine_chunks().to_numpy(
             zero_copy_only=False)
-        if not k.size:
-            return pa.table({key: pa.array([], pa.int64()),
-                             type_col: pa.array([], pa.string()),
-                             "win": pa.array([], pa.int64()),
-                             "keep_id": pa.array([], pa.int64()),
-                             "n_in_win": pa.array([], pa.int64())})
         order = np.lexsort((ids, mic, w, t, k))
         k, t, w, ids, cnt = (k[order], t[order], w[order], ids[order],
                              cnt[order])
@@ -1428,12 +1221,12 @@ def windowed_dedup_events(ds, key: str = "user_id",
                          "keep_id": pa.array(ids[seg]),
                          "n_in_win": pa.array(n_tot)})
 
-    return (ds.map_batches(local, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(merge, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.map_batches(local, batch_format="pyarrow",
+                                   **rayenv.remote_args()),
+                    merge, buckets=buckets, keys=["k"],
+                    schema=pa.schema([(key, pa.int64()),
+                                      (type_col, pa.string())]
+                                     + _i64("win", "keep_id", "n_in_win")))
 
 
 def interval_coverage_per_user(ds, key: str = "user_id", ts_col: str = "ts",
@@ -1449,18 +1242,7 @@ def interval_coverage_per_user(ds, key: str = "user_id", ts_col: str = "ts",
     Integer microsecond arithmetic end-to-end — no float time math.
     Output: (key, n_islands, covered_s)."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from .joins import hash_bucket
-        kv = t.column(key).to_numpy(zero_copy_only=False)
-        return (t.select([key, ts_col])
-                .append_column("_b",
-                               pa.array(hash_bucket(kv, buckets=buckets))))
-
     def cover(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({key: pa.array([], pa.int64()),
-                             "n_islands": pa.array([], pa.int64()),
-                             "covered_s": pa.array([], pa.int64())})
         k = g.column(key).to_numpy(zero_copy_only=False)
         mic = _epoch_micros(g.column(ts_col))
         pad = pad_s * 1_000_000
@@ -1488,9 +1270,7 @@ def interval_coverage_per_user(ds, key: str = "user_id", ts_col: str = "ts",
                          "n_islands": pa.array(n_isl),
                          "covered_s": pa.array(cov_us // 1_000_000)})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           **rayenv.remote_args())
-            .repartition(buckets)
-            .groupby("_b")
-            .map_groups(cover, batch_format="pyarrow",
-                        **rayenv.remote_args()))
+    return exchange(ds.select_columns([key, ts_col]), cover,
+                    buckets=buckets, keys=[key],
+                    schema=output_schema(ds, [key], _i64("n_islands",
+                                                         "covered_s")))

@@ -103,7 +103,7 @@ def test_embedding_near_dups(ray_session):
     t = pa.table({"vec_id": pa.array(ids, pa.int64()),
                   "embedding": pa.array(list(vecs), pa.list_(pa.float32()))})
     ds = rd.from_arrow(t)
-    pairs = dedup.embedding_near_dups(ds, threshold=0.95).to_pandas()
+    pairs = dedup.embedding_near_dups_baseline(ds, threshold=0.95).to_pandas()
     got = set(zip(pairs["a_id"], pairs["b_id"]))
     for i in range(5):
         assert (i, 50 + i) in got

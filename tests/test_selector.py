@@ -148,7 +148,7 @@ def test_transport_sequential_ids_pick_plain_without_fsst_training(monkeypatch):
 
 
 def test_transport_prose_trains_fsst_and_picks_it(monkeypatch):
-    from rwcf.codecs import fsst
+    from rwcf.codecs import REGISTRY, fsst
     calls = []
     real = fsst._train
 
@@ -163,9 +163,34 @@ def test_transport_prose_trains_fsst_and_picks_it(monkeypatch):
     assert _framed_bytes(chunk, "str", "fsst") < _framed_bytes(chunk, "str",
                                                                "plain")
     calls.clear()
+    REGISTRY["fsst"]._memo.clear()  # the choice above memoized its table
     enc, _ = selector.encode_auto(chunk, "str", transport="zstd-page")
     assert len(calls) == 1  # the chunk encode reuses the selector's table
     assert chunk_equal(chunk, fmt.decode_chunk(enc), "str")
+
+
+def test_fsst_estimate_reuses_the_memoized_table(monkeypatch):
+    # a second choose_codec on the same chunk finds the symbol table the
+    # first one trained; the bytes encoded from it are the same
+    from rwcf.codecs import REGISTRY, fsst
+    calls = []
+    real = fsst._train
+
+    def spy(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(fsst, "_train", spy)
+    REGISTRY["fsst"]._memo.clear()
+    chunk = mk_chunk(_prose(2500, seed=9), "str")
+    first = selector.choose_codec(chunk, "str", transport="zstd-page")
+    trained, _ = selector.encode_auto(chunk, "str", transport="zstd-page")
+    second = selector.choose_codec(chunk, "str", transport="zstd-page")
+    assert len(calls) == 1
+    assert first.codec == second.codec == "fsst"
+    again, _ = selector.encode_auto(chunk, "str", transport="zstd-page")
+    assert fmt.write_column_file(again) == fmt.write_column_file(trained)
+    assert len(calls) == 1
 
 
 def test_transport_choice_matches_per_partition_oracle():
