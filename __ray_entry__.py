@@ -1910,9 +1910,10 @@ def _q_kmeans(sf_dir: str):
     value-checks it), the assignment total (must equal it — no row
     dropped or double-assigned across the iterative passes), and two
     Lloyd invariants asserted over the REAL run: per-iteration inertia
-    is non-increasing, and every assigned dist2 equals the true minimum
-    distance to the final centroids (re-verified in an independent
-    distributed pass). Per-cluster detail stays pinned in
+    is non-increasing, and every point's assigned centroid is a nearest
+    final centroid with dist2 its distance to it, both up to a tolerance
+    scaled to |x|^2 + |c|^2 (re-verified in an independent distributed
+    pass). Per-cluster detail stays pinned in
     tests/test_similarity.py."""
     import pandas as pd
     import ray.data as rd
@@ -1938,12 +1939,22 @@ def _q_kmeans(sf_dir: str):
                              "bad": pa.array([0], pa.int64())})
         mat = la.flatten().to_numpy(zero_copy_only=False) \
             .reshape(len(la), -1).astype(np.float64)
-        d2 = (mat * mat).sum(1)[:, None] - 2.0 * (mat @ c.T) \
-            + (c * c).sum(1)[None, :]
-        best = np.maximum(d2.min(axis=1), 0.0)
+        xx = (mat * mat).sum(1)
+        cc = (c * c).sum(1)
+        d2 = xx[:, None] - 2.0 * (mat @ c.T) + cc[None, :]
+        # the expansion cancels |x|^2 + |c|^2 down to the distance, and
+        # GEMMs batched differently round differently: compare at the
+        # scale of the cancelled terms, not of the (tiny) distance
+        tol = 1e-9 * (xx + cc.max())
+        a = t.column("cluster").combine_chunks() \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        mine = d2[np.arange(len(a)), a]
         got = t.column("dist2").combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        bad = int((~np.isclose(got, best, rtol=1e-9, atol=1e-9)).sum())
+        # the assigned centroid is a nearest one (ties within rounding),
+        # and the reported dist2 is the distance to it
+        bad = int(((mine > d2.min(axis=1) + tol)
+                   | (np.abs(got - np.maximum(mine, 0.0)) > tol)).sum())
         return pa.table({"n": pa.array([len(la)], pa.int64()),
                          "bad": pa.array([bad], pa.int64())})
 

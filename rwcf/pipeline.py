@@ -637,11 +637,13 @@ def manifest_table_to_rows(tbl: pa.Table) -> list[dict]:
 
 
 def _cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster; 4 before any session starts
+    (the first Dataset call starts one). Any other failure raises: this
+    count sizes stages and picks a point plan's executor."""
     import ray
-    try:
-        return int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
+    if not ray.is_initialized():
         return 4
+    return int(ray.cluster_resources().get("CPU", 4))
 
 
 def _default_concurrency() -> int:
@@ -663,41 +665,59 @@ def _stage_cap(concurrency: int | None, task_cpus: int) -> int:
     return _default_concurrency()
 
 
-def encode_job(input_paths, cfg: EncodeConfig, resume: bool = True,
-               concurrency: int | None = None, task_cpus: int = 1):
-    """Full encode pipeline: plan fragments (metadata only) -> actor-pool
-    encode -> manifest Dataset. Returns the manifest as a ray Dataset."""
-    import ray.data as rd
+def _resume_plan(out_dir: str, frags: list[dict]) -> list[dict]:
+    """Attach resume bookkeeping to each fragment descriptor: its
+    already-committed rows (possibly living only in compacted manifest
+    shards) as ``committed`` and its pids absorbed into a compacted
+    partition (``replaces`` edges plus the gc shadow ledger) as
+    ``replaced`` — both count as committed, since re-encoding them would
+    duplicate their rows. Returns the committed rows that are not
+    replaced, so a caller can ask the store a question without a second
+    manifest load."""
+    all_rows = load_manifest(out_dir, include_replaced=True)
+    replaced = {p for r in all_rows for p in (r.get("replaces") or [])}
+    # the persistent shadow ledger remembers pids whose replaces-edge
+    # manifests gc already deleted — still committed, never re-encode
+    replaced |= _shadow_ledger(out_dir)
+    live = [r for r in all_rows if r["pid"] not in replaced]
+    by_frag: dict[str, list[dict]] = {}
+    repl_by_frag: dict[str, list[str]] = {}
+    for r in live:
+        by_frag.setdefault(r["pid"].rsplit("-p", 1)[0], []).append(r)
+    for p in replaced:
+        repl_by_frag.setdefault(p.rsplit("-p", 1)[0], []).append(p)
+    for fr in frags:
+        # set on every descriptor (homogeneous keys for from_items)
+        fr["committed"] = json.dumps(by_frag.get(fr["fragment_id"], []))
+        fr["replaced"] = json.dumps(repl_by_frag.get(fr["fragment_id"], []))
+    return live
+
+
+def _stamp_schema_version(cfg: EncodeConfig) -> None:
+    """Name new partitions' columns under an evolved store's live schema
+    version unless ``cfg`` names one."""
     if cfg.schema_version is None:
         from . import schema as _schema
         v = _schema.current_version(cfg.out_dir)
         if v:  # evolved store: stamp new partitions with the live version
             cfg.schema_version = v
+
+
+def encode_job(input_paths, cfg: EncodeConfig, resume: bool = True,
+               concurrency: int | None = None, task_cpus: int = 1):
+    """Full encode pipeline: plan fragments (metadata only) -> Ray
+    encode -> manifest Dataset. Returns the manifest as a ray Dataset."""
+    _stamp_schema_version(cfg)
     frags = plan_fragments(input_paths)
     if resume:
-        # ship each fragment's already-committed rows (possibly living only
-        # in compacted manifest shards) to its worker; pids absorbed into a
-        # compacted partition (``replaces`` tombstones) count as committed
-        # too — re-encoding them would duplicate their rows
-        all_rows = load_manifest(cfg.out_dir, include_replaced=True)
-        replaced = {p for r in all_rows for p in (r.get("replaces") or [])}
-        # the persistent shadow ledger remembers pids whose replaces-edge
-        # manifests gc already deleted — still committed, never re-encode
-        replaced |= _shadow_ledger(cfg.out_dir)
-        by_frag: dict[str, list[dict]] = {}
-        repl_by_frag: dict[str, list[str]] = {}
-        for r in all_rows:
-            if r["pid"] in replaced:
-                continue
-            fid = r["pid"].rsplit("-p", 1)[0]
-            by_frag.setdefault(fid, []).append(r)
-        for p in replaced:
-            repl_by_frag.setdefault(p.rsplit("-p", 1)[0], []).append(p)
-        for fr in frags:
-            # set on every descriptor (homogeneous keys for from_items)
-            fr["committed"] = json.dumps(by_frag.get(fr["fragment_id"], []))
-            fr["replaced"] = json.dumps(
-                repl_by_frag.get(fr["fragment_id"], []))
+        _resume_plan(cfg.out_dir, frags)
+    return _encode_planned(frags, cfg, resume, concurrency, task_cpus)
+
+
+def _encode_planned(frags: list[dict], cfg: EncodeConfig, resume: bool,
+                    concurrency: int | None, task_cpus: int = 1):
+    """encode_job's Ray stage over already planned fragment descriptors."""
+    import ray.data as rd
     n = concurrency or _default_concurrency()
     # one task wave = n*2 blocks, built at from_items time — no shuffle
     ds = rd.from_items(frags,
@@ -769,26 +789,41 @@ def _zone_admits(st, vals: list | None = None, lo=None, hi=None) -> bool:
     return (lo is None or mx >= lo) and (hi is None or mn <= hi)
 
 
+#: Most admitted partitions a point plan scans in the driver when Ray
+#: could scan them in parallel. Measured on 1 cpu, a partition costs the
+#: driver ~1.9 ms and a Ray worker ~3.3 ms, and a Ray job adds a fixed
+#: cost; modelled for more cpus, with one worker per partition, the
+#: driver stays ahead up to about 9 partitions (table in CHANGES.md).
+_DRIVER_MAX_PARTITIONS = 8
+
+
 def _admitted_scan(out_dir: str, admits, scan, concurrency: int | None,
                    snapshot: str | None = None):
     """Driver-planned partition scan, the shared plan of the point readers
     and deleters. The manifest is loaded once in the driver and only the
     rows for which ``admits(row)`` holds (manifest zone maps, excluded
-    pids) become blocks; ``scan`` then runs as a ``batch_size=1`` UDF over
-    them, so a pruned partition costs neither a task nor a JSON decode.
-    The result is materialized: a consumer that reads the schema before
-    the rows (``to_arrow_refs``) would otherwise run the plan twice. When
-    no row is admitted no Ray job runs — ``scan`` of the empty manifest
-    table gives the typed empty result."""
+    pids) reach ``scan``, so a pruned partition costs neither a read nor
+    a JSON decode.
+
+    ``scan`` (Bloom probe and page reads included) runs where it is
+    cheapest. In the driver, over the whole admitted table at once, when
+    the resolved concurrency is 1 (Ray would run the partitions serially
+    in one worker) or at most ``_DRIVER_MAX_PARTITIONS`` are admitted
+    (none included): Ray's fixed cost per job exceeds the scan. Otherwise
+    as a ``batch_size=1`` Ray UDF over the admitted rows. Either way the
+    result is one typed ``MaterializedDataset``; the Ray path
+    materializes because a consumer that reads the schema before the rows
+    (``to_arrow_refs``) would otherwise run the plan twice."""
     import ray.data as rd
     tbl = manifest_rows_to_table(
         [r for r in load_manifest(out_dir, snapshot=snapshot) if admits(r)])
-    if not tbl.num_rows:
-        return rd.from_arrow(scan(tbl))
-    n = concurrency or _default_concurrency()
-    return _sliced_blocks(tbl, n * 2).map_batches(
-        scan, batch_size=1, batch_format="pyarrow", num_cpus=1,
-        **rayenv.remote_args()).materialize()
+    if tbl.num_rows > _DRIVER_MAX_PARTITIONS:
+        n = concurrency or _default_concurrency()
+        if n > 1:
+            return _sliced_blocks(tbl, n * 2).map_batches(
+                scan, batch_size=1, batch_format="pyarrow", num_cpus=1,
+                **rayenv.remote_args()).materialize()
+    return rd.from_arrow(scan(tbl))
 
 
 def load_manifest(out_dir: str, include_replaced: bool = False,
@@ -2595,11 +2630,13 @@ def lookup_docs(out_dir: str, keys: list[str],
     fetched, (3) matched rows map through n_tok prefix sums to token
     ranges, and ONLY the token pages covering those ranges are read and
     decoded. When the store carries a Bloom sidecar (EncodeConfig
-    bloom_bits_per_key > 0) the WORKER first probes an admitted
+    bloom_bits_per_key > 0) the scan first probes an admitted
     partition's doc_id bloom — one tiny read that skips the partition's
     data sections entirely unless some probe MAY be present (the scale
     path for hash-like ids, where every partition's [min,max] range
-    admits every probe; probing in the driver would serialize that IO).
+    admits every probe). The scan, Bloom probe included, runs in the
+    driver or in Ray workers by _admitted_scan's executor rule: a few
+    admitted partitions, or concurrency 1, stay in the driver.
     Returns a materialized Dataset of (doc_id, tokens) rows for the found
     keys (detokenization is the caller's concern — token streams need not
     be valid UTF-8).
@@ -2768,9 +2805,11 @@ def delete_docs(out_dir: str, keys: list[str],
     and drops the tombstones.
 
     Matching is index-grade, not a scan: the DRIVER prunes partitions by
-    manifest zone maps and ``exclude_pids`` (_admitted_scan), the WORKER
+    manifest zone maps and ``exclude_pids`` (_admitted_scan), the scan
     then probes the admitted partition's Bloom sidecar, and only
-    admitted doc_id PAGES decode.
+    admitted doc_id PAGES decode. The scan runs in the driver or in Ray
+    workers by _admitted_scan's executor rule; either way each tombstone
+    commit takes the per-pid lock.
     Idempotent (re-deleting union-merges), and safe under CONCURRENT
     delete/upsert/merge jobs: each partition's tombstone commit runs
     under a per-pid lockfile (see _merge_tombstone), so racing jobs
@@ -2833,9 +2872,10 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     ``BETWEEN lo AND hi``): resolves the predicate to position tombstones
     through the same index-grade path every point reader uses — the
     DRIVER prunes partitions by manifest zone maps (_admitted_scan), the
-    WORKER probes the Bloom sidecar (equality mode, when present), then
+    scan probes the Bloom sidecar (equality mode, when present), then
     per-page zone maps keep only admitting PAGES, and only those pages
-    of ONLY the predicate column ever decode.
+    of ONLY the predicate column ever decode. The scan runs in the
+    driver or in Ray workers by _admitted_scan's executor rule.
     Partition data files are never rewritten; the committed tombstones
     are the same ``{pid}.del.json`` sidecars ``delete_docs`` writes, so
     every reader (decode_job, verify_job, lookup_docs, range_scan_docs,
@@ -2932,7 +2972,12 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
     re-uses the committed partitions instead of duplicating them), then
     (2) ``delete_docs`` tombstones the upserted doc_ids everywhere EXCEPT
     the new partitions. Idempotent: re-running the same upsert after a
-    crash at any point converges to the same store. Between steps (1)
+    crash at any point converges to the same store. One manifest load
+    plans step (1) and, with ``cfg=None``, answers whether new partitions
+    get a Bloom sidecar (they do when any live partition has one). Input
+    that stages to one fragment encodes in the driver (Ray would run it
+    as a single task); larger input runs encode_job's Ray stage. Step
+    (2) takes _admitted_scan's executor rule. Between steps (1)
     and (2) a concurrent reader can observe both versions of an updated
     row — the standard anomaly of multi-step commits without a
     transaction log; re-run-to-completion resolves it, and single-writer
@@ -2949,10 +2994,6 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
             if buf is not None:
                 h.update(buf)
         run_id = h.hexdigest()[:12]
-    if cfg is None:
-        has_bloom = any(r.get("bloom") for r in load_manifest(out_dir))
-        cfg = EncodeConfig(out_dir=out_dir,
-                           bloom_bits_per_key=10 if has_bloom else 0)
     ingest_dir = os.path.join(out_dir, "ingest")
     os.makedirs(ingest_dir, exist_ok=True)
     staged = os.path.join(ingest_dir, f"upsert-{run_id}.parquet")
@@ -2960,9 +3001,20 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
         tmp = staged + f".tmp{os.getpid()}"
         pq.write_table(new_rows.cast(TOKENS_SCHEMA), tmp)
         os.replace(tmp, staged)
-    man = encode_job(staged, cfg, resume=True,
-                     concurrency=concurrency).to_pandas()
-    new_pids = set(man["pid"])
+    frags = plan_fragments(staged)
+    live = _resume_plan(cfg.out_dir if cfg else out_dir, frags)
+    if cfg is None:
+        has_bloom = any(r.get("bloom") for r in live)
+        cfg = EncodeConfig(out_dir=out_dir,
+                           bloom_bits_per_key=10 if has_bloom else 0)
+    _stamp_schema_version(cfg)
+    if len(frags) <= 1:  # Ray would run it as one task: skip the job
+        pids = encode_fragment_batch(pa.Table.from_pylist(frags), cfg) \
+            .column("pid").to_pylist()
+    else:
+        pids = _encode_planned(frags, cfg, True, concurrency) \
+            .to_pandas()["pid"]
+    new_pids = set(pids)
     keys = [str(k) for k in new_rows.column("doc_id").to_pylist()]
     deleted = delete_docs(out_dir, keys, concurrency=concurrency,
                           exclude_pids=new_pids)
@@ -3035,7 +3087,7 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
     """Index range scan: all (doc_id, n_tok) rows with lo <= doc_id <= hi
     (lexicographic — the store's key order), pruned at partition level in
     the DRIVER by manifest string stats (_admitted_scan) and at page level
-    in the worker by the truncated string zone maps; only admitted doc_id
+    in the scan by the truncated string zone maps; only admitted doc_id
     pages and the n_tok pages covering their matches are decoded (the
     range analogue of lookup_docs). Returns a materialized Dataset."""
 

@@ -1,13 +1,20 @@
 """Driver-planned point reads and deletes (``pipeline._admitted_scan``).
 
 lookup_docs, range_scan_docs, delete_docs and delete_where prune
-partitions by their manifest zone maps in the driver and ship only the
-admitted manifest rows to the scan UDF; the Bloom sidecar is still probed
-in the worker. These tests check each against a filter over decode_job on
-a store that has a Bloom sidecar, a tombstone, an upsert and a snapshot,
-check which pids the UDF receives, and check that a call admitting no
-partition starts no Ray job.
+partitions by their manifest zone maps in the driver and hand only the
+admitted manifest rows to their scan, which runs in the driver for a few
+partitions (or concurrency 1) and as a Ray UDF otherwise. These tests
+check each against a filter over decode_job on a store that has a Bloom
+sidecar, a tombstone, an upsert and a snapshot, check which pids the scan
+receives on both executors, check that both executors return and write
+the same, and check that the driver path starts no Ray job.
 """
+
+import hashlib
+import json
+import os
+import shutil
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -166,34 +173,45 @@ def _zone(rows, column, pred) -> list[str]:
                           r["stats"][column]["max"]))
 
 
+#: ``_DRIVER_MAX_PARTITIONS`` values that force each executor for any
+#: admitted partition count (none admitted always runs in the driver)
+EXECUTORS = {"ray": 0, "driver": sys.maxsize}
+
+
 def test_scan_udf_receives_zone_admitted_pids(shared_store, monkeypatch):
     out, snap = shared_store
     rows = pipeline.load_manifest(out)
+    snap_rows = pipeline.load_manifest(out, snapshot=snap)
     keys = ["doc-000000000005", "doc-000000000300", "doc-000000000301x"]
     want = _zone(rows, "doc_id",
                  lambda mn, mx: any(mn <= k <= mx for k in keys))
     assert 0 < len(want) < len(rows)
-    seen = _spy(monkeypatch)
-    pipeline.lookup_docs(out, keys)
-    pipeline.delete_docs(out, keys, exclude_pids={want[0]})
-    assert seen == [want, want[1:]]
-
-    seen.clear()
-    snap_rows = pipeline.load_manifest(out, snapshot=snap)
-    pipeline.lookup_docs(out, keys, snapshot=snap)
-    assert seen == [_zone(snap_rows, "doc_id",
-                          lambda mn, mx: any(mn <= k <= mx for k in keys))]
-
-    seen.clear()
     lo, hi = "doc-000000000100", "doc-000000000120"
-    pipeline.range_scan_docs(out, lo, hi)
-    pipeline.delete_where(out, "n_tok", lo=300, hi=310)
-    pipeline.delete_where(out, "n_tok", values=[7, 4096])
-    assert seen == [
-        _zone(rows, "doc_id", lambda mn, mx: mx >= lo and mn <= hi),
-        _zone(rows, "n_tok", lambda mn, mx: mx >= 300 and mn <= 310),
-        _zone(rows, "n_tok", lambda mn, mx: any(mn <= v <= mx
-                                                for v in (7, 4096)))]
+    seen = _spy(monkeypatch)
+    for cutoff in EXECUTORS.values():
+        monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", cutoff)
+        seen.clear()
+        pipeline.lookup_docs(out, keys, concurrency=2)
+        pipeline.delete_docs(out, keys, concurrency=2,
+                             exclude_pids={want[0]})
+        assert seen == [want, want[1:]]
+
+        seen.clear()
+        pipeline.lookup_docs(out, keys, snapshot=snap, concurrency=2)
+        assert seen == [_zone(snap_rows, "doc_id",
+                              lambda mn, mx: any(mn <= k <= mx
+                                                 for k in keys))]
+
+        seen.clear()
+        pipeline.range_scan_docs(out, lo, hi, concurrency=2)
+        pipeline.delete_where(out, "n_tok", lo=300, hi=310, concurrency=2)
+        pipeline.delete_where(out, "n_tok", values=[7, 4096],
+                              concurrency=2)
+        assert seen == [
+            _zone(rows, "doc_id", lambda mn, mx: mx >= lo and mn <= hi),
+            _zone(rows, "n_tok", lambda mn, mx: mx >= 300 and mn <= 310),
+            _zone(rows, "n_tok", lambda mn, mx: any(mn <= v <= mx
+                                                    for v in (7, 4096)))]
 
 
 def test_zero_admitted_call_runs_no_job(shared_store, monkeypatch):
@@ -264,3 +282,151 @@ def test_delete_where_prunes_all_null_partitions(tmp_path, ray_session):
     assert pipeline.delete_where(out, "score", lo=40)["rows_deleted"] == 40
     left = pipeline.decode_job(out, columns=["score"]).to_pandas()["score"]
     assert len(left) == 252 and left.isna().sum() == 100
+
+
+def _store_files(out: str) -> dict:
+    """Every manifest row, tombstone and partition file of a store; rows
+    without their timing fields, partition files as digests."""
+    files = {}
+    for sub in ("manifest", "parts"):
+        for name in sorted(os.listdir(os.path.join(out, sub))):
+            path = os.path.join(out, sub, name)
+            if name.endswith(".json"):
+                with open(path) as f:
+                    doc = json.load(f)
+                doc.pop("encode_seconds", None)
+                for c in doc.get("columns") or []:
+                    c.pop("select_ms", None)
+                files[f"{sub}/{name}"] = doc
+            else:
+                with open(path, "rb") as f:
+                    files[f"{sub}/{name}"] = hashlib.sha1(
+                        f.read()).hexdigest()
+    return files
+
+
+def _sorted(ds) -> list:
+    assert isinstance(ds, MaterializedDataset)
+    d = ds.to_pandas()
+    return sorted(tuple(tuple(v) if isinstance(v, np.ndarray) else v
+                        for v in r) for r in d.itertuples(index=False))
+
+
+def _point_ops(out: str, snap: str) -> dict:
+    """Every point read and write on ``out``, at a concurrency at which
+    Ray could run the scans in parallel."""
+    dec = _decoded(out)
+    keys = _keys(dec)
+    ntok = sorted({int(v) for v in dec.column("n_tok").to_pylist()[::41]})
+    new = fixtures.tokens_table(2, seed=25).set_column(
+        0, "doc_id", pa.array([keys[0], "doc-000000888888"], pa.string()))
+    src = fixtures.tokens_table(2, seed=26).set_column(
+        0, "doc_id", pa.array([keys[1], "doc-000000777777"], pa.string()))
+    res = {
+        "lookup": _sorted(pipeline.lookup_docs(out, keys, concurrency=2)),
+        "lookup_snap": _sorted(pipeline.lookup_docs(
+            out, keys, snapshot=snap, concurrency=2)),
+        "range": _sorted(pipeline.range_scan_docs(
+            out, "doc-000000000010", "doc-000000000045", concurrency=2)),
+        "upsert": pipeline.upsert_docs(out, new, concurrency=2),
+        "merge": pipeline.merge_docs(out, src, concurrency=2),
+        "delete_docs": pipeline.delete_docs(out, keys[2:5], concurrency=2),
+        "delete_values": pipeline.delete_where(out, "n_tok", values=ntok,
+                                               concurrency=2),
+        "delete_range": pipeline.delete_where(out, "n_tok", lo=300, hi=330,
+                                              concurrency=2),
+    }
+    res["lookup_after"] = _sorted(pipeline.lookup_docs(
+        out, keys + ["doc-000000888888", "doc-000000777777"],
+        concurrency=2))
+    return res
+
+
+def test_executors_return_and_write_the_same(shared_store, tmp_path,
+                                             monkeypatch):
+    """Each point read and write, forced onto Ray and into the driver,
+    returns the same results and leaves the same manifest rows,
+    tombstones and partition files (same store path, so the upsert's
+    staged fragment, and with it its pid, is the same)."""
+    pristine, snap = shared_store
+    work = str(tmp_path / "store")
+    calls: list = []
+    orig = Dataset.map_batches
+
+    def counting(self, *a, **k):
+        calls.append(1)
+        return orig(self, *a, **k)
+
+    got = {}
+    for name, cutoff in EXECUTORS.items():
+        shutil.copytree(pristine, work)
+        monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", cutoff)
+        monkeypatch.setattr(Dataset, "map_batches", counting)
+        calls.clear()
+        res = _point_ops(work, snap)
+        got[name] = (res, _store_files(work), len(calls))
+        monkeypatch.undo()
+        shutil.rmtree(work)
+    (ray_res, ray_files, ray_jobs), (drv_res, drv_files, drv_jobs) = \
+        got["ray"], got["driver"]
+    assert ray_res["delete_docs"]["rows_deleted"] > 0
+    assert ray_res["delete_values"]["rows_deleted"] > 0
+    assert ray_res["delete_range"]["rows_deleted"] > 0
+    assert ray_res["upsert"]["rows_shadowed"] == 1
+    assert ray_res["merge"]["matched"] == 1
+    assert ray_res == drv_res
+    assert ray_files == drv_files
+    assert any(k.endswith(".del.json") for k in drv_files)
+    # both ran decode_job's job; only the Ray executor also ran the ten
+    # scans (each admits a partition): 3 lookups, the range scan, the
+    # three deletes, the upsert's shadow delete, and merge's lookup and
+    # shadow delete
+    assert (drv_jobs, ray_jobs) == (1, 11)
+
+
+def test_driver_executor_runs_no_job(store, monkeypatch):
+    """Below the cutoff every point op completes with Ray Data's
+    map_batches unusable; reads still return typed MaterializedDatasets."""
+    out, snap = store
+    keys = _keys(_decoded(out))
+
+    def no_job(*a, **k):
+        raise AssertionError("a driver-executed point op ran a Ray job")
+
+    monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", sys.maxsize)
+    monkeypatch.setattr(Dataset, "map_batches", no_job)
+    lookup_schema = pa.schema([("doc_id", pa.string()),
+                               ("tokens", pa.list_(pa.int32()))])
+    for snapshot in (None, snap):
+        got = pipeline.lookup_docs(out, keys, snapshot=snapshot)
+        assert isinstance(got, MaterializedDataset) and got.count() > 0
+        assert got.schema().base_schema == lookup_schema
+    got = pipeline.range_scan_docs(out, "doc-000000000010",
+                                   "doc-000000000045")
+    assert isinstance(got, MaterializedDataset) and got.count() > 0
+    assert got.schema().base_schema == pa.schema(
+        [("doc_id", pa.string()), ("n_tok", pa.int64())])
+    assert pipeline.delete_docs(out, keys[:2])["rows_deleted"] == 2
+    assert pipeline.delete_where(out, "n_tok", lo=300, hi=330) \
+        ["rows_deleted"] > 0
+    new = fixtures.tokens_table(2, seed=27).set_column(
+        0, "doc_id", pa.array([keys[2], "doc-000000666666"], pa.string()))
+    res = pipeline.upsert_docs(out, new)
+    assert res["new_partitions"] == 1 and res["rows_shadowed"] == 1
+    src = fixtures.tokens_table(1, seed=28).set_column(
+        0, "doc_id", pa.array([keys[2]], pa.string()))
+    assert pipeline.merge_docs(out, src, when_matched="delete") \
+        ["deleted"] == 1
+
+
+def test_cluster_cpus_reads_the_session(ray_session, monkeypatch):
+    assert pipeline._cluster_cpus() == 4  # conftest's session
+
+    def broken():
+        raise RuntimeError("GCS unreachable")
+
+    monkeypatch.setattr(ray, "cluster_resources", broken)
+    with pytest.raises(RuntimeError, match="GCS unreachable"):
+        pipeline._cluster_cpus()
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert pipeline._cluster_cpus() == 4  # before any session starts

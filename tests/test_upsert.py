@@ -136,3 +136,34 @@ def test_second_upsert_overwrites_first(store):
     assert len(got) == 400
     assert bytes(np.asarray(got.loc[v2[0][0], "tokens"],
                             np.uint8)).decode() == "updated-again"
+
+@pytest.mark.parametrize("bits", [10, 0])
+def test_upsert_bloom_follows_the_store(tmp_path, ray_session, monkeypatch,
+                                        bits):
+    """With cfg=None an upsert's new partition gets a Bloom sidecar when
+    the store has one and none otherwise, and the answer comes from the
+    manifest load that plans the encode: one load for the append, one for
+    the shadow delete."""
+    path = fixtures.tokens_parquet(200, seed=38,
+                                   cache_dir=str(tmp_path / "tok"),
+                                   row_group_size=100)
+    out = str(tmp_path / "out")
+    cfg = pipeline.EncodeConfig(out_dir=out, partition_token_budget=40_000,
+                                bloom_bits_per_key=bits)
+    pipeline.encode_job(path, cfg, concurrency=2).materialize()
+    loads = []
+    orig = pipeline.load_manifest
+
+    def counting(*a, **k):
+        loads.append(a)
+        return orig(*a, **k)
+
+    monkeypatch.setattr(pipeline, "load_manifest", counting)
+    res = pipeline.upsert_docs(out, _rows(UPDATED[:1] + INSERTED[:1]))
+    monkeypatch.undo()
+    assert len(loads) == 2
+    assert res["new_partitions"] == 1 and res["rows_shadowed"] == 1
+    new = [r for r in pipeline.load_manifest(out)
+           if r["pid"].startswith("upsert-")]
+    assert len(new) == 1
+    assert (pipeline.read_bloom(new[0], "doc_id") is not None) == bool(bits)
