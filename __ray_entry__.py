@@ -1952,9 +1952,11 @@ def _q_kmeans(sf_dir: str):
         got = t.column("dist2").combine_chunks() \
             .to_numpy(zero_copy_only=False)
         # the assigned centroid is a nearest one (ties within rounding),
-        # and the reported dist2 is the distance to it
-        bad = int(((mine > d2.min(axis=1) + tol)
-                   | (np.abs(got - np.maximum(mine, 0.0)) > tol)).sum())
+        # and the reported dist2 is the distance to it; written as the
+        # negation of what holds so that a NaN distance or centroid
+        # (every comparison false) counts as bad
+        bad = int((~((mine <= d2.min(axis=1) + tol)
+                     & (np.abs(got - np.maximum(mine, 0.0)) <= tol))).sum())
         return pa.table({"n": pa.array([len(la)], pa.int64()),
                          "bad": pa.array([bad], pa.int64())})
 

@@ -639,7 +639,7 @@ def manifest_table_to_rows(tbl: pa.Table) -> list[dict]:
 def _cluster_cpus() -> int:
     """CPUs of the connected Ray cluster; 4 before any session starts
     (the first Dataset call starts one). Any other failure raises: this
-    count sizes stages and picks a point plan's executor."""
+    count sizes stages."""
     import ray
     if not ray.is_initialized():
         return 4
@@ -789,41 +789,47 @@ def _zone_admits(st, vals: list | None = None, lo=None, hi=None) -> bool:
     return (lo is None or mx >= lo) and (hi is None or mn <= hi)
 
 
-#: Most admitted partitions a point plan scans in the driver when Ray
-#: could scan them in parallel. Measured on 1 cpu, a partition costs the
-#: driver ~1.9 ms and a Ray worker ~3.3 ms, and a Ray job adds a fixed
-#: cost; modelled for more cpus, with one worker per partition, the
-#: driver stays ahead up to about 9 partitions (table in CHANGES.md).
-_DRIVER_MAX_PARTITIONS = 8
-
-
-def _admitted_scan(out_dir: str, admits, scan, concurrency: int | None,
-                   snapshot: str | None = None):
+def _admitted_scan(out_dir: str, admits, scan, snapshot: str | None = None):
     """Driver-planned partition scan, the shared plan of the point readers
     and deleters. The manifest is loaded once in the driver and only the
     rows for which ``admits(row)`` holds (manifest zone maps, excluded
     pids) reach ``scan``, so a pruned partition costs neither a read nor
     a JSON decode.
 
-    ``scan`` (Bloom probe and page reads included) runs where it is
-    cheapest. In the driver, over the whole admitted table at once, when
-    the resolved concurrency is 1 (Ray would run the partitions serially
-    in one worker) or at most ``_DRIVER_MAX_PARTITIONS`` are admitted
-    (none included): Ray's fixed cost per job exceeds the scan. Otherwise
-    as a ``batch_size=1`` Ray UDF over the admitted rows. Either way the
-    result is one typed ``MaterializedDataset``; the Ray path
-    materializes because a consumer that reads the schema before the rows
-    (``to_arrow_refs``) would otherwise run the plan twice."""
+    ``scan`` (Bloom probe and page reads included) runs in the driver,
+    one admitted partition at a time: Ray Data's fixed cost per job
+    exceeds the whole scan of a point plan, and on 1 cpu the driver beat
+    a ``batch_size=1`` Ray UDF at every admitted count measured (1 to
+    118 partitions). A plan admitting many partitions on a multi-cpu
+    cluster gives up Ray's parallel scan for this; that cost is not
+    measured. The result is one typed ``MaterializedDataset``.
+    Its rows move into the object store in blocks of at most
+    ``DataContext.target_max_block_size`` (plus one partition's rows),
+    each put as it fills, so a wide range scan never holds more than one
+    block in driver memory; a plan that yields no row still returns one
+    empty block with the scan's schema."""
+    import ray
     import ray.data as rd
+    from ray.data.context import DataContext
     tbl = manifest_rows_to_table(
         [r for r in load_manifest(out_dir, snapshot=snapshot) if admits(r)])
-    if tbl.num_rows > _DRIVER_MAX_PARTITIONS:
-        n = concurrency or _default_concurrency()
-        if n > 1:
-            return _sliced_blocks(tbl, n * 2).map_batches(
-                scan, batch_size=1, batch_format="pyarrow", num_cpus=1,
-                **rayenv.remote_args()).materialize()
-    return rd.from_arrow(scan(tbl))
+    cap = DataContext.get_current().target_max_block_size
+    refs: list = []
+    pending: list[pa.Table] = []
+    size = 0
+    for i in range(tbl.num_rows):
+        part = scan(tbl.slice(i, 1))
+        if not part.num_rows:
+            continue
+        pending.append(part)
+        size += part.nbytes
+        if cap is not None and size >= cap:
+            refs.append(ray.put(pa.concat_tables(pending)))
+            pending, size = [], 0
+    if pending or not refs:
+        refs.append(ray.put(pa.concat_tables(pending) if pending
+                            else scan(tbl.slice(0, 0))))
+    return rd.from_arrow_refs(refs)
 
 
 def load_manifest(out_dir: str, include_replaced: bool = False,
@@ -930,12 +936,17 @@ def load_manifest(out_dir: str, include_replaced: bool = False,
     # include_replaced=True deliberately keeps branch rows — resume
     # accounting and gc must see every committed pid regardless of ref
     # state, or a re-encode could duplicate a branch partition's rows.
-    if any(r.get("branch") for r in out):
+    return _main_branch_view(out_dir, out)
+
+
+def _main_branch_view(out_dir: str, rows: list[dict]) -> list[dict]:
+    """``rows`` without those committed onto a branch not yet merged."""
+    if any(r.get("branch") for r in rows):
         brefs = _branch_refs(out_dir)
-        out = [r for r in out
-               if not r.get("branch")
-               or brefs.get(r["branch"], {}).get("merged")]
-    return out
+        rows = [r for r in rows
+                if not r.get("branch")
+                or brefs.get(r["branch"], {}).get("merged")]
+    return rows
 
 
 def compact_manifest(out_dir: str) -> dict:
@@ -2635,8 +2646,8 @@ def lookup_docs(out_dir: str, keys: list[str],
     data sections entirely unless some probe MAY be present (the scale
     path for hash-like ids, where every partition's [min,max] range
     admits every probe). The scan, Bloom probe included, runs in the
-    driver or in Ray workers by _admitted_scan's executor rule: a few
-    admitted partitions, or concurrency 1, stay in the driver.
+    driver (_admitted_scan), so ``concurrency`` has no effect here; it
+    stays for callers that pass it.
     Returns a materialized Dataset of (doc_id, tokens) rows for the found
     keys (detokenization is the caller's concern — token streams need not
     be valid UTF-8).
@@ -2722,7 +2733,7 @@ def lookup_docs(out_dir: str, keys: list[str],
         return pa.table({"doc_id": pa.array(out_ids, pa.string()),
                          "tokens": la})
 
-    return _admitted_scan(out_dir, admits, scan, concurrency, snapshot)
+    return _admitted_scan(out_dir, admits, scan, snapshot)
 
 
 def _pid_lock(tpath: str, timeout_s: float = 30.0,
@@ -2765,8 +2776,8 @@ def _merge_tombstone(mdir: str, row: dict, hit_positions) -> int:
     Safe under concurrent writer JOBS: the read-merge-write runs under a
     per-pid lockfile (:func:`_pid_lock`), so two delete/upsert jobs
     hitting the same partition serialize and both sets of positions
-    land. Within one job each pid is scanned by exactly one task, so the
-    lock is uncontended on the common path (one O_CREAT+unlink pair)."""
+    land. Within one call each pid is scanned once, so the lock is
+    uncontended on the common path (one O_CREAT+unlink pair)."""
     tpath = os.path.join(mdir, f"{row['pid']}.del.json")
     lock = _pid_lock(tpath)
     try:
@@ -2807,8 +2818,8 @@ def delete_docs(out_dir: str, keys: list[str],
     Matching is index-grade, not a scan: the DRIVER prunes partitions by
     manifest zone maps and ``exclude_pids`` (_admitted_scan), the scan
     then probes the admitted partition's Bloom sidecar, and only
-    admitted doc_id PAGES decode. The scan runs in the driver or in Ray
-    workers by _admitted_scan's executor rule; either way each tombstone
+    admitted doc_id PAGES decode. The scan runs in the driver
+    (_admitted_scan; ``concurrency`` has no effect), and each tombstone
     commit takes the per-pid lock.
     Idempotent (re-deleting union-merges), and safe under CONCURRENT
     delete/upsert/merge jobs: each partition's tombstone commit runs
@@ -2855,7 +2866,7 @@ def delete_docs(out_dir: str, keys: list[str],
                          "n_deleted": pa.array(counts, pa.int64())})
 
     return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan, concurrency))
+        _admitted_scan(out_dir, admits, scan))
 
 
 def _deleted_counts(ds) -> dict:
@@ -2875,7 +2886,7 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     scan probes the Bloom sidecar (equality mode, when present), then
     per-page zone maps keep only admitting PAGES, and only those pages
     of ONLY the predicate column ever decode. The scan runs in the
-    driver or in Ray workers by _admitted_scan's executor rule.
+    driver (_admitted_scan; ``concurrency`` has no effect).
     Partition data files are never rewritten; the committed tombstones
     are the same ``{pid}.del.json`` sidecars ``delete_docs`` writes, so
     every reader (decode_job, verify_job, lookup_docs, range_scan_docs,
@@ -2958,7 +2969,7 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
                          "n_deleted": pa.array(counts, pa.int64())})
 
     return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan, concurrency))
+        _admitted_scan(out_dir, admits, scan))
 
 
 def upsert_docs(out_dir: str, new_rows: pa.Table,
@@ -2974,10 +2985,12 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
     the new partitions. Idempotent: re-running the same upsert after a
     crash at any point converges to the same store. One manifest load
     plans step (1) and, with ``cfg=None``, answers whether new partitions
-    get a Bloom sidecar (they do when any live partition has one). Input
-    that stages to one fragment encodes in the driver (Ray would run it
-    as a single task); larger input runs encode_job's Ray stage. Step
-    (2) takes _admitted_scan's executor rule. Between steps (1)
+    get a Bloom sidecar (they do when any partition of the main view has
+    one). Input that stages to one fragment encodes in the driver (Ray
+    would run it as a single task), retried up to 3 times on an
+    ``OSError`` like the Ray stage's task retries; larger input runs
+    encode_job's Ray stage. Step (2)'s scan runs in the driver
+    (_admitted_scan). Between steps (1)
     and (2) a concurrent reader can observe both versions of an updated
     row — the standard anomaly of multi-step commits without a
     transaction log; re-run-to-completion resolves it, and single-writer
@@ -3004,13 +3017,22 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
     frags = plan_fragments(staged)
     live = _resume_plan(cfg.out_dir if cfg else out_dir, frags)
     if cfg is None:
-        has_bloom = any(r.get("bloom") for r in live)
+        has_bloom = any(r.get("bloom")
+                        for r in _main_branch_view(out_dir, live))
         cfg = EncodeConfig(out_dir=out_dir,
                            bloom_bits_per_key=10 if has_bloom else 0)
     _stamp_schema_version(cfg)
     if len(frags) <= 1:  # Ray would run it as one task: skip the job
-        pids = encode_fragment_batch(pa.Table.from_pylist(frags), cfg) \
-            .column("pid").to_pylist()
+        for attempt in range(4):
+            # the same bound as _encode_planned's max_retries; the commit
+            # is idempotent, so a retry overwrites its own partial output
+            try:
+                pids = encode_fragment_batch(pa.Table.from_pylist(frags),
+                                             cfg).column("pid").to_pylist()
+                break
+            except OSError:
+                if attempt == 3:
+                    raise
     else:
         pids = _encode_planned(frags, cfg, True, concurrency) \
             .to_pandas()["pid"]
@@ -3089,7 +3111,9 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
     the DRIVER by manifest string stats (_admitted_scan) and at page level
     in the scan by the truncated string zone maps; only admitted doc_id
     pages and the n_tok pages covering their matches are decoded (the
-    range analogue of lookup_docs). Returns a materialized Dataset."""
+    range analogue of lookup_docs). The scan runs in the driver
+    (_admitted_scan; ``concurrency`` has no effect). Returns a
+    materialized Dataset."""
 
     def admits(row: dict) -> bool:
         return _zone_admits((row.get("stats") or {}).get("doc_id"),
@@ -3140,7 +3164,7 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
         return pa.table({"doc_id": ids_arr,
                          "n_tok": pa.array(n_arr, pa.int64())})
 
-    return _admitted_scan(out_dir, admits, scan, concurrency)
+    return _admitted_scan(out_dir, admits, scan)
 
 
 def scan_column_pages(out_dir: str, column: str, page_pred,

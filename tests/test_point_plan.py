@@ -2,19 +2,13 @@
 
 lookup_docs, range_scan_docs, delete_docs and delete_where prune
 partitions by their manifest zone maps in the driver and hand only the
-admitted manifest rows to their scan, which runs in the driver for a few
-partitions (or concurrency 1) and as a Ray UDF otherwise. These tests
-check each against a filter over decode_job on a store that has a Bloom
-sidecar, a tombstone, an upsert and a snapshot, check which pids the scan
-receives on both executors, check that both executors return and write
-the same, and check that the driver path starts no Ray job.
+admitted manifest rows to their scan, which runs in the driver. These
+tests check each against a filter over decode_job on a store that has a
+Bloom sidecar, a tombstone, an upsert and a snapshot, check which pids
+the scan receives, check that no point op starts a Ray job whatever its
+concurrency, and check that the scan's result reaches the object store
+in bounded blocks.
 """
-
-import hashlib
-import json
-import os
-import shutil
-import sys
 
 import numpy as np
 import pyarrow as pa
@@ -22,6 +16,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 from ray.data import Dataset
+from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
 
 from rwcf import fixtures, pipeline
@@ -153,12 +148,12 @@ def _spy(monkeypatch) -> list:
     seen: list = []
     orig = pipeline._admitted_scan
 
-    def spy(out_dir, admits, scan, concurrency, snapshot=None):
+    def spy(out_dir, admits, scan, snapshot=None):
         def echo(batch: pa.Table) -> pa.Table:
             return pa.table({"pid": batch.column("pid"),
                              "n_deleted": pa.array([0] * batch.num_rows,
                                                    pa.int64())})
-        ds = orig(out_dir, admits, echo, concurrency, snapshot)
+        ds = orig(out_dir, admits, echo, snapshot)
         seen.append(sorted(p for t in ray.get(ds.to_arrow_refs())
                            for p in t.column("pid").to_pylist()))
         return ds
@@ -173,45 +168,34 @@ def _zone(rows, column, pred) -> list[str]:
                           r["stats"][column]["max"]))
 
 
-#: ``_DRIVER_MAX_PARTITIONS`` values that force each executor for any
-#: admitted partition count (none admitted always runs in the driver)
-EXECUTORS = {"ray": 0, "driver": sys.maxsize}
-
-
 def test_scan_udf_receives_zone_admitted_pids(shared_store, monkeypatch):
     out, snap = shared_store
     rows = pipeline.load_manifest(out)
-    snap_rows = pipeline.load_manifest(out, snapshot=snap)
     keys = ["doc-000000000005", "doc-000000000300", "doc-000000000301x"]
     want = _zone(rows, "doc_id",
                  lambda mn, mx: any(mn <= k <= mx for k in keys))
     assert 0 < len(want) < len(rows)
-    lo, hi = "doc-000000000100", "doc-000000000120"
     seen = _spy(monkeypatch)
-    for cutoff in EXECUTORS.values():
-        monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", cutoff)
-        seen.clear()
-        pipeline.lookup_docs(out, keys, concurrency=2)
-        pipeline.delete_docs(out, keys, concurrency=2,
-                             exclude_pids={want[0]})
-        assert seen == [want, want[1:]]
+    pipeline.lookup_docs(out, keys)
+    pipeline.delete_docs(out, keys, exclude_pids={want[0]})
+    assert seen == [want, want[1:]]
 
-        seen.clear()
-        pipeline.lookup_docs(out, keys, snapshot=snap, concurrency=2)
-        assert seen == [_zone(snap_rows, "doc_id",
-                              lambda mn, mx: any(mn <= k <= mx
-                                                 for k in keys))]
+    seen.clear()
+    snap_rows = pipeline.load_manifest(out, snapshot=snap)
+    pipeline.lookup_docs(out, keys, snapshot=snap)
+    assert seen == [_zone(snap_rows, "doc_id",
+                          lambda mn, mx: any(mn <= k <= mx for k in keys))]
 
-        seen.clear()
-        pipeline.range_scan_docs(out, lo, hi, concurrency=2)
-        pipeline.delete_where(out, "n_tok", lo=300, hi=310, concurrency=2)
-        pipeline.delete_where(out, "n_tok", values=[7, 4096],
-                              concurrency=2)
-        assert seen == [
-            _zone(rows, "doc_id", lambda mn, mx: mx >= lo and mn <= hi),
-            _zone(rows, "n_tok", lambda mn, mx: mx >= 300 and mn <= 310),
-            _zone(rows, "n_tok", lambda mn, mx: any(mn <= v <= mx
-                                                    for v in (7, 4096)))]
+    seen.clear()
+    lo, hi = "doc-000000000100", "doc-000000000120"
+    pipeline.range_scan_docs(out, lo, hi)
+    pipeline.delete_where(out, "n_tok", lo=300, hi=310)
+    pipeline.delete_where(out, "n_tok", values=[7, 4096])
+    assert seen == [
+        _zone(rows, "doc_id", lambda mn, mx: mx >= lo and mn <= hi),
+        _zone(rows, "n_tok", lambda mn, mx: mx >= 300 and mn <= 310),
+        _zone(rows, "n_tok", lambda mn, mx: any(mn <= v <= mx
+                                                for v in (7, 4096)))]
 
 
 def test_zero_admitted_call_runs_no_job(shared_store, monkeypatch):
@@ -284,139 +268,81 @@ def test_delete_where_prunes_all_null_partitions(tmp_path, ray_session):
     assert len(left) == 252 and left.isna().sum() == 100
 
 
-def _store_files(out: str) -> dict:
-    """Every manifest row, tombstone and partition file of a store; rows
-    without their timing fields, partition files as digests."""
-    files = {}
-    for sub in ("manifest", "parts"):
-        for name in sorted(os.listdir(os.path.join(out, sub))):
-            path = os.path.join(out, sub, name)
-            if name.endswith(".json"):
-                with open(path) as f:
-                    doc = json.load(f)
-                doc.pop("encode_seconds", None)
-                for c in doc.get("columns") or []:
-                    c.pop("select_ms", None)
-                files[f"{sub}/{name}"] = doc
-            else:
-                with open(path, "rb") as f:
-                    files[f"{sub}/{name}"] = hashlib.sha1(
-                        f.read()).hexdigest()
-    return files
-
-
-def _sorted(ds) -> list:
-    assert isinstance(ds, MaterializedDataset)
-    d = ds.to_pandas()
-    return sorted(tuple(tuple(v) if isinstance(v, np.ndarray) else v
-                        for v in r) for r in d.itertuples(index=False))
-
-
-def _point_ops(out: str, snap: str) -> dict:
-    """Every point read and write on ``out``, at a concurrency at which
-    Ray could run the scans in parallel."""
-    dec = _decoded(out)
-    keys = _keys(dec)
-    ntok = sorted({int(v) for v in dec.column("n_tok").to_pylist()[::41]})
-    new = fixtures.tokens_table(2, seed=25).set_column(
-        0, "doc_id", pa.array([keys[0], "doc-000000888888"], pa.string()))
-    src = fixtures.tokens_table(2, seed=26).set_column(
-        0, "doc_id", pa.array([keys[1], "doc-000000777777"], pa.string()))
-    res = {
-        "lookup": _sorted(pipeline.lookup_docs(out, keys, concurrency=2)),
-        "lookup_snap": _sorted(pipeline.lookup_docs(
-            out, keys, snapshot=snap, concurrency=2)),
-        "range": _sorted(pipeline.range_scan_docs(
-            out, "doc-000000000010", "doc-000000000045", concurrency=2)),
-        "upsert": pipeline.upsert_docs(out, new, concurrency=2),
-        "merge": pipeline.merge_docs(out, src, concurrency=2),
-        "delete_docs": pipeline.delete_docs(out, keys[2:5], concurrency=2),
-        "delete_values": pipeline.delete_where(out, "n_tok", values=ntok,
-                                               concurrency=2),
-        "delete_range": pipeline.delete_where(out, "n_tok", lo=300, hi=330,
-                                              concurrency=2),
-    }
-    res["lookup_after"] = _sorted(pipeline.lookup_docs(
-        out, keys + ["doc-000000888888", "doc-000000777777"],
-        concurrency=2))
-    return res
-
-
-def test_executors_return_and_write_the_same(shared_store, tmp_path,
-                                             monkeypatch):
-    """Each point read and write, forced onto Ray and into the driver,
-    returns the same results and leaves the same manifest rows,
-    tombstones and partition files (same store path, so the upsert's
-    staged fragment, and with it its pid, is the same)."""
-    pristine, snap = shared_store
-    work = str(tmp_path / "store")
-    calls: list = []
-    orig = Dataset.map_batches
-
-    def counting(self, *a, **k):
-        calls.append(1)
-        return orig(self, *a, **k)
-
-    got = {}
-    for name, cutoff in EXECUTORS.items():
-        shutil.copytree(pristine, work)
-        monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", cutoff)
-        monkeypatch.setattr(Dataset, "map_batches", counting)
-        calls.clear()
-        res = _point_ops(work, snap)
-        got[name] = (res, _store_files(work), len(calls))
-        monkeypatch.undo()
-        shutil.rmtree(work)
-    (ray_res, ray_files, ray_jobs), (drv_res, drv_files, drv_jobs) = \
-        got["ray"], got["driver"]
-    assert ray_res["delete_docs"]["rows_deleted"] > 0
-    assert ray_res["delete_values"]["rows_deleted"] > 0
-    assert ray_res["delete_range"]["rows_deleted"] > 0
-    assert ray_res["upsert"]["rows_shadowed"] == 1
-    assert ray_res["merge"]["matched"] == 1
-    assert ray_res == drv_res
-    assert ray_files == drv_files
-    assert any(k.endswith(".del.json") for k in drv_files)
-    # both ran decode_job's job; only the Ray executor also ran the ten
-    # scans (each admits a partition): 3 lookups, the range scan, the
-    # three deletes, the upsert's shadow delete, and merge's lookup and
-    # shadow delete
-    assert (drv_jobs, ray_jobs) == (1, 11)
-
-
-def test_driver_executor_runs_no_job(store, monkeypatch):
-    """Below the cutoff every point op completes with Ray Data's
-    map_batches unusable; reads still return typed MaterializedDatasets."""
+def test_point_ops_run_no_job(store, monkeypatch):
+    """Every point op completes with Ray Data's map_batches unusable,
+    even at a concurrency at which Ray could scan in parallel; reads
+    still return typed MaterializedDatasets."""
     out, snap = store
     keys = _keys(_decoded(out))
 
     def no_job(*a, **k):
-        raise AssertionError("a driver-executed point op ran a Ray job")
+        raise AssertionError("a point op ran a Ray job")
 
-    monkeypatch.setattr(pipeline, "_DRIVER_MAX_PARTITIONS", sys.maxsize)
     monkeypatch.setattr(Dataset, "map_batches", no_job)
     lookup_schema = pa.schema([("doc_id", pa.string()),
                                ("tokens", pa.list_(pa.int32()))])
     for snapshot in (None, snap):
-        got = pipeline.lookup_docs(out, keys, snapshot=snapshot)
+        got = pipeline.lookup_docs(out, keys, snapshot=snapshot,
+                                   concurrency=2)
         assert isinstance(got, MaterializedDataset) and got.count() > 0
         assert got.schema().base_schema == lookup_schema
     got = pipeline.range_scan_docs(out, "doc-000000000010",
-                                   "doc-000000000045")
+                                   "doc-000000000045", concurrency=2)
     assert isinstance(got, MaterializedDataset) and got.count() > 0
     assert got.schema().base_schema == pa.schema(
         [("doc_id", pa.string()), ("n_tok", pa.int64())])
-    assert pipeline.delete_docs(out, keys[:2])["rows_deleted"] == 2
-    assert pipeline.delete_where(out, "n_tok", lo=300, hi=330) \
-        ["rows_deleted"] > 0
+    assert pipeline.delete_docs(out, keys[:2], concurrency=2) \
+        ["rows_deleted"] == 2
+    assert pipeline.delete_where(out, "n_tok", lo=300, hi=330,
+                                 concurrency=2)["rows_deleted"] > 0
     new = fixtures.tokens_table(2, seed=27).set_column(
         0, "doc_id", pa.array([keys[2], "doc-000000666666"], pa.string()))
-    res = pipeline.upsert_docs(out, new)
+    res = pipeline.upsert_docs(out, new, concurrency=2)
     assert res["new_partitions"] == 1 and res["rows_shadowed"] == 1
     src = fixtures.tokens_table(1, seed=28).set_column(
         0, "doc_id", pa.array([keys[2]], pa.string()))
-    assert pipeline.merge_docs(out, src, when_matched="delete") \
-        ["deleted"] == 1
+    assert pipeline.merge_docs(out, src, when_matched="delete",
+                               concurrency=2)["deleted"] == 1
+
+
+def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
+    """The driver puts the scan's rows into the object store in blocks of
+    at most Ray Data's target block size plus one partition's rows:
+    with a 1-byte target each partition that yields rows is its own
+    block, by default the rows share one; either way the rows are those
+    of a filter over decode_job."""
+    out, _snap = shared_store
+    dec = _decoded(out)
+    lo, hi = "doc-000000000010", "doc-000000000300"
+    ids = np.array(dec.column("doc_id").to_pylist())
+    keep = (ids >= lo) & (ids <= hi)
+    want = sorted(zip(ids[keep].tolist(),
+                      np.asarray(dec.column("n_tok").to_pylist())[keep]
+                      .tolist()))
+    yielded: list = []
+    orig = pipeline._admitted_scan
+
+    def recording(out_dir, admits, scan, snapshot=None):
+        def rec(batch: pa.Table) -> pa.Table:
+            got = scan(batch)
+            if got.num_rows:
+                yielded.extend(batch.column("pid").to_pylist())
+            return got
+        return orig(out_dir, admits, rec, snapshot)
+
+    monkeypatch.setattr(pipeline, "_admitted_scan", recording)
+    ctx = DataContext.get_current()
+    for target in (None, 1):
+        if target is not None:
+            monkeypatch.setattr(ctx, "target_max_block_size", target)
+        yielded.clear()
+        got = pipeline.range_scan_docs(out, lo, hi)
+        blocks = ray.get(got.to_arrow_refs())
+        assert len(yielded) > 1 and len(set(yielded)) == len(yielded)
+        assert len(blocks) == (1 if target is None else len(yielded))
+        rows = pa.concat_tables(blocks)
+        assert sorted(zip(rows.column("doc_id").to_pylist(),
+                          rows.column("n_tok").to_pylist())) == want
 
 
 def test_cluster_cpus_reads_the_session(ray_session, monkeypatch):

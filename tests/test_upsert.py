@@ -137,20 +137,34 @@ def test_second_upsert_overwrites_first(store):
     assert bytes(np.asarray(got.loc[v2[0][0], "tokens"],
                             np.uint8)).decode() == "updated-again"
 
-@pytest.mark.parametrize("bits", [10, 0])
+@pytest.mark.parametrize("case", ["bloom", "plain", "unmerged_branch"])
 def test_upsert_bloom_follows_the_store(tmp_path, ray_session, monkeypatch,
-                                        bits):
+                                        case):
     """With cfg=None an upsert's new partition gets a Bloom sidecar when
-    the store has one and none otherwise, and the answer comes from the
-    manifest load that plans the encode: one load for the append, one for
-    the shadow delete."""
+    the store's main view has one and none otherwise (Bloom partitions
+    that sit only on an unmerged branch do not count), and the answer
+    comes from the manifest load that plans the encode: one load for the
+    append, one for the shadow delete."""
     path = fixtures.tokens_parquet(200, seed=38,
                                    cache_dir=str(tmp_path / "tok"),
                                    row_group_size=100)
     out = str(tmp_path / "out")
+    bits = 10 if case == "bloom" else 0
     cfg = pipeline.EncodeConfig(out_dir=out, partition_token_budget=40_000,
                                 bloom_bits_per_key=bits)
     pipeline.encode_job(path, cfg, concurrency=2).materialize()
+    if case == "unmerged_branch":
+        pipeline.create_branch(out, "dev")
+        batch = str(tmp_path / "branch.parquet")
+        pq.write_table(_rows(INSERTED[1:]).cast(pipeline.TOKENS_SCHEMA),
+                       batch)
+        st = pipeline.stage_append(out, batch, cfg=pipeline.EncodeConfig(
+            out_dir=out, bloom_bits_per_key=10))
+        pipeline.publish_staged(out, st["staging_id"], branch="dev")
+        on_branch = [r for r in pipeline.load_manifest(
+            out, include_replaced=True) if r.get("branch") == "dev"]
+        assert on_branch and all(pipeline.read_bloom(r, "doc_id")
+                                 is not None for r in on_branch)
     loads = []
     orig = pipeline.load_manifest
 
@@ -167,3 +181,30 @@ def test_upsert_bloom_follows_the_store(tmp_path, ray_session, monkeypatch,
            if r["pid"].startswith("upsert-")]
     assert len(new) == 1
     assert (pipeline.read_bloom(new[0], "doc_id") is not None) == bool(bits)
+
+
+@pytest.mark.parametrize("fault,fails,calls", [
+    (OSError, 3, 4), (OSError, 4, 4), (ValueError, 1, 1)])
+def test_upsert_driver_encode_retries_io_faults(store, monkeypatch, fault,
+                                                fails, calls):
+    """A one-fragment upsert encodes in the driver and retries an OSError
+    up to 3 times, like the Ray stage's task retries; any other error,
+    or a fourth OSError, fails the upsert."""
+    seen = []
+    orig = pipeline.encode_fragment_batch
+
+    def flaky(*a, **k):
+        seen.append(1)
+        if len(seen) <= fails:
+            raise fault("injected")
+        return orig(*a, **k)
+
+    monkeypatch.setattr(pipeline, "encode_fragment_batch", flaky)
+    if fails >= calls:
+        with pytest.raises(fault, match="injected"):
+            pipeline.upsert_docs(store["out"], _rows(UPDATED))
+    else:
+        res = pipeline.upsert_docs(store["out"], _rows(UPDATED))
+        assert res["new_partitions"] == 1
+        assert res["rows_shadowed"] == len(UPDATED)
+    assert len(seen) == calls
