@@ -296,26 +296,19 @@ def fetch_vectors(out_dir: str, ids: list[int],
     complement to the probe-pruned similarity query. Index-grade IO:
     manifest vec_id zone maps prune first, then each surviving
     partition's int-key Bloom sidecar (one ~n*10/8-byte read) rejects
-    unless some probe MAY be present; only admitted partitions decode.
+    unless some probe MAY be present — both in the driver, by the rules
+    every manifest-planned read shares (pipeline._zone_admits,
+    pipeline._bloom_admits); only admitted partitions decode.
     Returns ``(DataFrame(vec_id, embedding float32 list), io_stats)``
     with partition-level admit accounting."""
     import ray
 
-    from . import bloom as _bloom
-
     want = sorted(int(i) for i in ids)
     rows = pipeline.load_manifest(out_dir)
-    admitted = []
-    for r in rows:
-        st = (r.get("stats") or {}).get("vec_id")
-        if st and st.get("min") is not None:
-            if all(v < st["min"] or v > st["max"] for v in want):
-                continue
-        bm = pipeline.read_bloom(r, "vec_id")
-        if bm is not None and not _bloom.might_contain(
-                bm[0], bm[1], bm[2], want).any():
-            continue
-        admitted.append(r)
+    admitted = [r for r in rows
+                if pipeline._zone_admits(
+                    (r.get("stats") or {}).get("vec_id"), want)
+                and pipeline._bloom_admits(r, "vec_id", want)]
     stats = {"partitions_total": len(rows),
              "partitions_admitted": len(admitted),
              "bytes_total": int(sum(r["encoded_bytes"] for r in rows)),

@@ -321,15 +321,9 @@ def encode_partition(tbl: pa.Table, pid: str, cfg: EncodeConfig,
             boff += len(raw)
             bloom_bytes += len(raw)
 
-    stats = {}
-    for name in tbl.column_names:
-        if name == "tokens":  # flattened value stream; zone map is per-row
-            continue
-        col = tbl.column(name)
-        mm = pc.min_max(col)  # skips nulls; all-null -> (None, None)
-        stats[name] = {"min": mm["min"].as_py(), "max": mm["max"].as_py()}
-        if col.null_count:
-            stats[name]["null_count"] = int(col.null_count)
+    # tokens is a flattened value stream; zone maps are per-row
+    stats = {name: zone_map(tbl.column(name)) for name in tbl.column_names
+             if name != "tokens"}
     os.makedirs(cfg.parts_dir, exist_ok=True)
     os.makedirs(cfg.manifest_dir, exist_ok=True)
     file_path = os.path.join(cfg.parts_dir, f"{pid}.rwcf")
@@ -771,16 +765,32 @@ def _sliced_blocks(tbl: pa.Table, n_blocks: int):
     return rd.from_arrow([tbl.slice(i, step) for i in range(0, total, step)])
 
 
-def _zone_admits(st, vals: list | None = None, lo=None, hi=None) -> bool:
+def zone_map(arr) -> dict:
+    """A column's manifest zone map: ``min``/``max`` over its non-NULL
+    values (both None when every value is NULL) and, when it holds NULLs,
+    their ``null_count``. The only writer of manifest ``stats`` entries;
+    the key order is part of the manifest's bytes."""
+    mm = pc.min_max(arr)
+    st = {"min": mm["min"].as_py(), "max": mm["max"].as_py()}
+    if arr.null_count:
+        st["null_count"] = int(arr.null_count)
+    return st
+
+
+def _zone_admits(st, vals: list | None = None, lo=None, hi=None,
+                 isnull: bool | None = None) -> bool:
     """Whether a zone map may hold a value of the SORTED probe list
-    ``vals``, or one in the closed range ``lo``..``hi`` (None = open
-    side). ``st`` is a manifest stats dict (``{"min", "max"}``) or a
-    per-page ``[min, max]`` pair; no zone map admits everything, and a
-    manifest zone map of an all-null column (min None) admits nothing —
+    ``vals``, one in the closed range ``lo``..``hi`` (None = open side),
+    or — ``isnull`` True/False — a NULL / a non-NULL value. ``st`` is a
+    manifest zone map (see zone_map) or a per-page ``[min, max]`` pair.
+    No zone map admits everything; a zone map without ``null_count``
+    holds no NULL, and an all-NULL one (min None) admits only IS NULL —
     NULL never matches a point or range predicate."""
     if st is None:
         return True
     mn, mx = (st["min"], st["max"]) if isinstance(st, dict) else st
+    if isnull is not None:
+        return bool(st.get("null_count")) if isnull else mn is not None
     if mn is None:
         return False
     if vals is not None:
@@ -789,14 +799,45 @@ def _zone_admits(st, vals: list | None = None, lo=None, hi=None) -> bool:
     return (lo is None or mx >= lo) and (hi is None or mn <= hi)
 
 
-def _admitted_scan(out_dir: str, admits, scan, snapshot: str | None = None):
+def read_bloom(row: dict, column: str):
+    """Read one column's Bloom sidecar from the partition file (a single
+    ~n*bits_per_key/8-byte read, far smaller than any data section).
+    Returns ``(m_bits, k, data)`` or None when the store was encoded
+    without blooms — callers fall back to zone maps."""
+    bm = (row.get("bloom") or {}).get(column)
+    if not bm:
+        return None
+    with open(row["file"], "rb") as f:
+        f.seek(bm["offset"])
+        raw = f.read(bm["length"])
+    if zlib.crc32(raw) != bm["crc"]:
+        raise IOError(f"bloom checksum mismatch in {row['pid']}:{column}")
+    return bm["m_bits"], bm["k"], np.frombuffer(raw, dtype=np.uint8)
+
+
+def _bloom_admits(row: dict, column: str, vals: list) -> bool:
+    """Whether the partition's Bloom sidecar on ``column`` may hold one
+    of ``vals``; True when it has none. Probes take the column's dtype
+    from the row: an int-key sidecar hashes fixed-width keys, so a
+    string probe would manufacture false negatives."""
+    bm = read_bloom(row, column)
+    if bm is None:
+        return True
+    from . import bloom as _bloom
+    cast = str if fmt.is_string(_column_meta(row, column)["dtype"]) else int
+    return bool(_bloom.might_contain(*bm, [cast(v) for v in vals]).any())
+
+
+def _admitted_scan(out_dir: str, admits, scan, schema: pa.Schema,
+                   snapshot: str | None = None):
     """Driver-planned partition scan, the shared plan of the point readers
     and deleters. The manifest is loaded once in the driver and only the
-    rows for which ``admits(row)`` holds (manifest zone maps, excluded
-    pids) reach ``scan``, so a pruned partition costs neither a read nor
-    a JSON decode.
+    rows for which ``admits(row)`` holds (zone maps, Bloom sidecars,
+    excluded pids) reach ``scan``, so a pruned partition costs no data
+    read.
 
-    ``scan`` (Bloom probe and page reads included) runs in the driver,
+    ``scan(row)`` takes one admitted manifest row and returns its result
+    rows as a table of ``schema`` (None for none). It runs in the driver,
     one admitted partition at a time: Ray Data's fixed cost per job
     exceeds the whole scan of a point plan, and on 1 cpu the driver beat
     a ``batch_size=1`` Ray UDF at every admitted count measured (1 to
@@ -807,19 +848,19 @@ def _admitted_scan(out_dir: str, admits, scan, snapshot: str | None = None):
     ``DataContext.target_max_block_size`` (plus one partition's rows),
     each put as it fills, so a wide range scan never holds more than one
     block in driver memory; a plan that yields no row still returns one
-    empty block with the scan's schema."""
+    empty block of ``schema``."""
     import ray
     import ray.data as rd
     from ray.data.context import DataContext
-    tbl = manifest_rows_to_table(
-        [r for r in load_manifest(out_dir, snapshot=snapshot) if admits(r)])
     cap = DataContext.get_current().target_max_block_size
     refs: list = []
     pending: list[pa.Table] = []
     size = 0
-    for i in range(tbl.num_rows):
-        part = scan(tbl.slice(i, 1))
-        if not part.num_rows:
+    for row in load_manifest(out_dir, snapshot=snapshot):
+        if not admits(row):
+            continue
+        part = scan(row)
+        if part is None or not part.num_rows:
             continue
         pending.append(part)
         size += part.nbytes
@@ -828,7 +869,7 @@ def _admitted_scan(out_dir: str, admits, scan, snapshot: str | None = None):
             pending, size = [], 0
     if pending or not refs:
         refs.append(ray.put(pa.concat_tables(pending) if pending
-                            else scan(tbl.slice(0, 0))))
+                            else schema.empty_table()))
     return rd.from_arrow_refs(refs)
 
 
@@ -2229,22 +2270,6 @@ def read_column_section(row: dict, column: str,
     return enc
 
 
-def read_bloom(row: dict, column: str):
-    """Read one column's Bloom sidecar from the partition file (a single
-    ~n*bits_per_key/8-byte read, far smaller than any data section).
-    Returns ``(m_bits, k, data)`` or None when the store was encoded
-    without blooms — callers fall back to zone maps."""
-    bm = (row.get("bloom") or {}).get(column)
-    if not bm:
-        return None
-    with open(row["file"], "rb") as f:
-        f.seek(bm["offset"])
-        raw = f.read(bm["length"])
-    if zlib.crc32(raw) != bm["crc"]:
-        raise IOError(f"bloom checksum mismatch in {row['pid']}:{column}")
-    return bm["m_bits"], bm["k"], np.frombuffer(raw, dtype=np.uint8)
-
-
 def read_column_pages(row: dict, column: str, keep: list[int]):
     """Selective page fetch (transport="zstd-page"): reads ONLY the trailer
     frame plus the kept pages' frames from disk — the IO-saving realization
@@ -2383,6 +2408,8 @@ def late_materialized_sum(out_dir: str, pred_col: str = "source",
 
     n = concurrency or _default_concurrency()
     ds = manifest_dataset(out_dir, n_blocks=n * 2)
+    probe = ({"lo": pred_between[0], "hi": pred_between[1]}
+             if pred_between is not None else {"vals": [pred_val]})
 
     def scan(batch: pa.Table) -> pa.Table:
         tot = {"n_rows": 0, "sum_val": 0, "pages_kept": 0,
@@ -2394,15 +2421,9 @@ def late_materialized_sum(out_dir: str, pred_col: str = "source",
                                dtype=np.int64)
             tot["pages_total"] += len(skel.pages)
             tot["bytes_total"] += vcm["length"]
-            st = (row.get("stats") or {}).get(pred_col)
-            if st is not None:
-                if pred_between is not None:
-                    # zone-map overlap: skip iff [min,max] misses [lo,hi]
-                    if st["max"] < pred_between[0] \
-                            or st["min"] > pred_between[1]:
-                        continue
-                elif not (st["min"] <= pred_val <= st["max"]):
-                    continue
+            if not _zone_admits((row.get("stats") or {}).get(pred_col),
+                                **probe):
+                continue
             mask = _pred_row_mask(read_column_section(row, pred_col),
                                   pred_val, between=pred_between)
             dr = row.get("deleted_rows")
@@ -2606,7 +2627,10 @@ def stats_only_minmax(out_dir: str, column: str = "n_tok",
 def _read_admitted_pages(row: dict, cm: dict, vals: list | None = None,
                          lo=None, hi=None):
     """Fetch and decode ONLY the pages of column ``cm`` whose per-page
-    zone maps admit the probes (see _zone_admits). Returns ``(values,
+    zone maps admit the probes. A point plan's scan calls this in the
+    driver on a partition whose manifest zone map and Bloom sidecar
+    already admitted the probes (_admitted_scan); the page rule is the
+    same _zone_admits. Returns ``(values,
     local_rows)`` — the decoded Arrow values (strings as ``pa.string()``)
     and their partition-local row indices — or None when no page admits.
     Null-free columns only: page spans index the dense value stream."""
@@ -2629,25 +2653,32 @@ def _column_meta(row: dict, column: str) -> dict | None:
     return next((c for c in row["columns"] if c["column"] == column), None)
 
 
+#: result schemas of the point readers and deleters (_admitted_scan)
+_LOOKUP_SCHEMA = pa.schema([("doc_id", pa.string()),
+                            ("tokens", pa.list_(pa.int32()))])
+_RANGE_SCHEMA = pa.schema([("doc_id", pa.string()), ("n_tok", pa.int64())])
+_DELETED_SCHEMA = pa.schema([("pid", pa.string()), ("n_deleted", pa.int64())])
+
+
 def lookup_docs(out_dir: str, keys: list[str],
                 concurrency: int | None = None,
                 snapshot: str | None = None):
     """Distributed point lookup by doc_id over the encoded store — realized
     "efficient row skipping" (wills-columnar-format.org:187-194) at row
     granularity: (1) the DRIVER prunes every partition whose manifest
-    doc_id range excludes every probe, so a pruned partition costs no task
-    and no IO (_admitted_scan), (2) within an admitted partition only
+    doc_id range excludes every probe, so a pruned partition costs no
+    IO (_admitted_scan), (2) within an admitted partition only
     doc_id PAGES whose truncated string zone maps admit a probe are
     fetched, (3) matched rows map through n_tok prefix sums to token
     ranges, and ONLY the token pages covering those ranges are read and
     decoded. When the store carries a Bloom sidecar (EncodeConfig
-    bloom_bits_per_key > 0) the scan first probes an admitted
-    partition's doc_id bloom — one tiny read that skips the partition's
-    data sections entirely unless some probe MAY be present (the scale
-    path for hash-like ids, where every partition's [min,max] range
-    admits every probe). The scan, Bloom probe included, runs in the
-    driver (_admitted_scan), so ``concurrency`` has no effect here; it
-    stays for callers that pass it.
+    bloom_bits_per_key > 0) the driver also probes each zone-admitted
+    partition's doc_id bloom before step (2) (_bloom_admits) — one tiny
+    read that skips the partition's data sections entirely unless some
+    probe MAY be present (the scale path for hash-like ids, where every
+    partition's [min,max] range admits every probe). Admission and scan
+    both run in the driver (_admitted_scan), so ``concurrency`` has no
+    effect here; it stays for callers that pass it.
     Returns a materialized Dataset of (doc_id, tokens) rows for the found
     keys (detokenization is the caller's concern — token streams need not
     be valid UTF-8).
@@ -2659,55 +2690,43 @@ def lookup_docs(out_dir: str, keys: list[str],
     probe_arr = pa.array(keys, pa.string())
 
     def admits(row: dict) -> bool:
-        return _zone_admits((row.get("stats") or {}).get("doc_id"), keys)
+        return _zone_admits((row.get("stats") or {}).get("doc_id"), keys) \
+            and _bloom_admits(row, "doc_id", keys)
 
-    def scan(batch: pa.Table) -> pa.Table:
-        from . import bloom as _bloom
-        out_ids: list[str] = []
-        out_toks: list[np.ndarray] = []
-        for row in manifest_table_to_rows(batch):
-            bm = read_bloom(row, "doc_id")
-            if bm is not None and not _bloom.might_contain(
-                    bm[0], bm[1], bm[2], probe_arr).any():
-                continue
-            got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
-            if got is None:
-                continue
-            ids, local_rows = got
-            hit = pc.is_in(ids, value_set=probe_arr) \
-                .to_numpy(zero_copy_only=False)
-            if not hit.any():
-                continue
-            hit_rows = local_rows[hit]
-            hit_idx = np.flatnonzero(hit)
-            dr = row.get("deleted_rows")
-            if dr:  # tombstoned rows are invisible to point lookups
-                alive = ~np.isin(hit_rows, np.asarray(dr, dtype=np.int64))
-                if not alive.any():
-                    continue
-                hit_rows = hit_rows[alive]
-                hit_idx = hit_idx[alive]
-            hit_ids = ids.take(pa.array(hit_idx)).to_pylist()
-            n_tok = np.asarray(
-                fmt.decode_chunk(read_column_section(row, "n_tok")),
-                dtype=np.int64)
-            toff = np.concatenate(([0], np.cumsum(n_tok)))
-            starts = toff[hit_rows]
-            ends = toff[hit_rows + 1]
-            skel_t = read_column_skeleton(row, "tokens")
-            trows = np.array([p.values_count for p in skel_t.pages],
-                             dtype=np.int64)
-            tpe = np.cumsum(trows)
-            tps = tpe - trows
-            lo_pg = np.searchsorted(tpe, starts, side="right")
-            hi_pg = np.searchsorted(tpe, np.maximum(ends - 1, starts),
-                                    side="right")
-            keep_t = sorted({int(p) for a, b in zip(lo_pg, hi_pg)
-                             for p in range(a, min(b, len(trows) - 1) + 1)})
-            if not keep_t:  # every hit row has 0 tokens
-                out_ids.extend(hit_ids)
-                out_toks.extend([np.empty(0, np.int32)] * len(hit_ids))
-                continue
+    def scan(row: dict) -> pa.Table | None:
+        got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
+        if got is None:
+            return None
+        ids, local_rows = got
+        hit = pc.is_in(ids, value_set=probe_arr) \
+            .to_numpy(zero_copy_only=False)
+        hit_rows = local_rows[hit]
+        hit_idx = np.flatnonzero(hit)
+        dr = row.get("deleted_rows")
+        if dr:  # tombstoned rows are invisible to point lookups
+            alive = ~np.isin(hit_rows, np.asarray(dr, dtype=np.int64))
+            hit_rows = hit_rows[alive]
+            hit_idx = hit_idx[alive]
+        if not hit_idx.size:
+            return None
+        n_tok = np.asarray(
+            fmt.decode_chunk(read_column_section(row, "n_tok")),
+            dtype=np.int64)
+        toff = np.concatenate(([0], np.cumsum(n_tok)))
+        starts = toff[hit_rows]
+        ends = toff[hit_rows + 1]
+        skel_t = read_column_skeleton(row, "tokens")
+        trows = np.array([p.values_count for p in skel_t.pages],
+                         dtype=np.int64)
+        tpe = np.cumsum(trows)
+        tps = tpe - trows
+        lo_pg = np.searchsorted(tpe, starts, side="right")
+        hi_pg = np.searchsorted(tpe, np.maximum(ends - 1, starts),
+                                side="right")
+        keep_t = sorted({int(p) for a, b in zip(lo_pg, hi_pg)
+                         for p in range(a, min(b, len(trows) - 1) + 1)})
+        toks: list[np.ndarray] = [np.empty(0, np.int32)] * len(hit_rows)
+        if keep_t:  # else every hit row has 0 tokens
             enc_t, _br2, _bt2 = read_column_pages(row, "tokens", keep_t)
             tvals = np.asarray(fmt.decode_chunk(enc_t), dtype=np.int32)
             kept_starts = tps[keep_t]
@@ -2719,21 +2738,16 @@ def lookup_docs(out_dir: str, keys: list[str],
                 np.searchsorted(kept_starts, starts, side="right") - 1, 0)
             local = np.minimum(kcum[idx] + (starts - kept_starts[idx]),
                                len(tvals))
-            for j, did in enumerate(hit_ids):
-                out_ids.append(did)
-                out_toks.append(
-                    tvals[local[j]: local[j] + (ends[j] - starts[j])])
-        flat = (np.concatenate(out_toks) if out_toks
-                else np.empty(0, np.int32))
+            toks = [tvals[a: a + n] for a, n in zip(local, ends - starts)]
         offsets = np.concatenate(
-            ([0], np.cumsum([s.size for s in out_toks]))).astype(np.int64)
+            ([0], np.cumsum([s.size for s in toks]))).astype(np.int64)
         la = pa.LargeListArray.from_arrays(
-            offsets, pa.array(flat.astype(np.int32), pa.int32())) \
+            offsets, pa.array(np.concatenate(toks), pa.int32())) \
             .cast(pa.list_(pa.int32()))
-        return pa.table({"doc_id": pa.array(out_ids, pa.string()),
+        return pa.table({"doc_id": ids.take(pa.array(hit_idx)),
                          "tokens": la})
 
-    return _admitted_scan(out_dir, admits, scan, snapshot)
+    return _admitted_scan(out_dir, admits, scan, _LOOKUP_SCHEMA, snapshot)
 
 
 def _pid_lock(tpath: str, timeout_s: float = 30.0,
@@ -2816,9 +2830,9 @@ def delete_docs(out_dir: str, keys: list[str],
     and drops the tombstones.
 
     Matching is index-grade, not a scan: the DRIVER prunes partitions by
-    manifest zone maps and ``exclude_pids`` (_admitted_scan), the scan
-    then probes the admitted partition's Bloom sidecar, and only
-    admitted doc_id PAGES decode. The scan runs in the driver
+    ``exclude_pids``, manifest zone maps and then Bloom sidecars
+    (_admitted_scan, _bloom_admits), and only admitted doc_id PAGES
+    decode. The scan runs in the driver
     (_admitted_scan; ``concurrency`` has no effect), and each tombstone
     commit takes the per-pid lock.
     Idempotent (re-deleting union-merges), and safe under CONCURRENT
@@ -2837,36 +2851,32 @@ def delete_docs(out_dir: str, keys: list[str],
     excl = frozenset(exclude_pids or ())
 
     def admits(row: dict) -> bool:
-        return row["pid"] not in excl and _zone_admits(
-            (row.get("stats") or {}).get("doc_id"), keys)
+        return row["pid"] not in excl \
+            and _zone_admits((row.get("stats") or {}).get("doc_id"), keys) \
+            and _bloom_admits(row, "doc_id", keys)
 
-    def scan(batch: pa.Table) -> pa.Table:
-        from . import bloom as _bloom
-        pids: list[str] = []
-        counts: list[int] = []
-        for row in manifest_table_to_rows(batch):
-            bm = read_bloom(row, "doc_id")
-            if bm is not None and not _bloom.might_contain(
-                    bm[0], bm[1], bm[2], probe_arr).any():
-                continue
-            got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
-            if got is None:
-                continue
-            ids, local = got
-            hit = pc.is_in(ids, value_set=probe_arr) \
-                .to_numpy(zero_copy_only=False)
-            if not hit.any():
-                continue
-            n_new = _merge_tombstone(mdir, row, local[hit])
-            if not n_new:
-                continue
-            pids.append(row["pid"])
-            counts.append(n_new)
-        return pa.table({"pid": pa.array(pids, pa.string()),
-                         "n_deleted": pa.array(counts, pa.int64())})
+    def scan(row: dict) -> pa.Table | None:
+        got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
+        if got is None:
+            return None
+        ids, local = got
+        hit = pc.is_in(ids, value_set=probe_arr) \
+            .to_numpy(zero_copy_only=False)
+        return _tombstoned(mdir, row, local[hit])
 
     return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan))
+        _admitted_scan(out_dir, admits, scan, _DELETED_SCHEMA))
+
+
+def _tombstoned(mdir: str, row: dict, hit_positions) -> pa.Table | None:
+    """A deleter's scan result for one partition: tombstone
+    ``hit_positions`` and report the newly deleted count (None if 0)."""
+    n_new = _merge_tombstone(mdir, row, hit_positions) \
+        if len(hit_positions) else 0
+    if not n_new:
+        return None
+    return pa.table({"pid": [row["pid"]], "n_deleted": [n_new]},
+                    schema=_DELETED_SCHEMA)
 
 
 def _deleted_counts(ds) -> dict:
@@ -2882,11 +2892,12 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     equality deletes / ``DELETE FROM t WHERE col IN (...)`` or
     ``BETWEEN lo AND hi``): resolves the predicate to position tombstones
     through the same index-grade path every point reader uses — the
-    DRIVER prunes partitions by manifest zone maps (_admitted_scan), the
-    scan probes the Bloom sidecar (equality mode, when present), then
-    per-page zone maps keep only admitting PAGES, and only those pages
-    of ONLY the predicate column ever decode. The scan runs in the
-    driver (_admitted_scan; ``concurrency`` has no effect).
+    DRIVER prunes partitions by manifest zone maps and then, in equality
+    mode, by the column's Bloom sidecar when present (_admitted_scan,
+    _bloom_admits); the scan's per-page zone maps keep only admitting
+    PAGES, and only those pages of ONLY the predicate column ever
+    decode. The scan runs in the driver too (``concurrency`` has no
+    effect).
     Partition data files are never rewritten; the committed tombstones
     are the same ``{pid}.del.json`` sidecars ``delete_docs`` writes, so
     every reader (decode_job, verify_job, lookup_docs, range_scan_docs,
@@ -2913,63 +2924,41 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
         return row["pid"] not in excl \
             and _column_meta(row, column) is not None \
             and _zone_admits((row.get("stats") or {}).get(column),
-                             vals, lo, hi)
+                             vals, lo, hi) \
+            and (vals is None or _bloom_admits(row, column, vals))
 
-    def scan(batch: pa.Table) -> pa.Table:
-        from . import bloom as _bloom
-        pids: list[str] = []
-        counts: list[int] = []
-        for row in manifest_table_to_rows(batch):
-            cm = _column_meta(row, column)
-            bm = read_bloom(row, column) if vals is not None else None
-            # dtype-correct probes: int-key sidecars hash the fixed-width
-            # path, string sidecars the byte-payload path — a mismatched
-            # probe type would manufacture false negatives
-            if bm is not None and not _bloom.might_contain(
-                    bm[0], bm[1], bm[2],
-                    [str(v) for v in vals] if fmt.is_string(cm["dtype"])
-                    else [int(v) for v in vals]).any():
-                continue
-            if cm.get("null_count"):
-                # nullable column: page spans index the DENSE value
-                # stream, so the selective-page path cannot produce
-                # LOGICAL tombstone positions — read the full section
-                # and map hits through the validity scatter instead
-                # (SQL: NULL never matches a delete predicate, so only
-                # non-null positions are candidates)
-                enc = read_column_section(row, column, allow_nulls=True)
-                arr = fmt.chunk_to_arrow(fmt.decode_chunk(enc),
-                                         cm["dtype"])
-                local_base = np.nonzero(enc.validity)[0].astype(np.int64)
-            else:
-                got = _read_admitted_pages(row, cm, vals, lo, hi)
-                if got is None:
-                    continue
-                arr, local_base = got
-            if vals is not None:
-                hit = pc.is_in(arr, value_set=pa.array(vals, arr.type))
-            else:
-                hit = pa.array(np.ones(len(arr), dtype=bool))
-                if lo is not None:
-                    hit = pc.and_(hit, pc.greater_equal(
-                        arr, pa.scalar(lo, arr.type)))
-                if hi is not None:
-                    hit = pc.and_(hit, pc.less_equal(
-                        arr, pa.scalar(hi, arr.type)))
-            hit = np.asarray(hit.to_numpy(zero_copy_only=False),
-                             dtype=bool)
-            if not hit.any():
-                continue
-            n_new = _merge_tombstone(mdir, row, local_base[hit])
-            if not n_new:
-                continue
-            pids.append(row["pid"])
-            counts.append(n_new)
-        return pa.table({"pid": pa.array(pids, pa.string()),
-                         "n_deleted": pa.array(counts, pa.int64())})
+    def scan(row: dict) -> pa.Table | None:
+        cm = _column_meta(row, column)
+        if cm.get("null_count"):
+            # nullable column: page spans index the DENSE value
+            # stream, so the selective-page path cannot produce
+            # LOGICAL tombstone positions — read the full section
+            # and map hits through the validity scatter instead
+            # (SQL: NULL never matches a delete predicate, so only
+            # non-null positions are candidates)
+            enc = read_column_section(row, column, allow_nulls=True)
+            arr = fmt.chunk_to_arrow(fmt.decode_chunk(enc), cm["dtype"])
+            local_base = np.nonzero(enc.validity)[0].astype(np.int64)
+        else:
+            got = _read_admitted_pages(row, cm, vals, lo, hi)
+            if got is None:
+                return None
+            arr, local_base = got
+        if vals is not None:
+            hit = pc.is_in(arr, value_set=pa.array(vals, arr.type))
+        else:
+            hit = pa.array(np.ones(len(arr), dtype=bool))
+            if lo is not None:
+                hit = pc.and_(hit, pc.greater_equal(
+                    arr, pa.scalar(lo, arr.type)))
+            if hi is not None:
+                hit = pc.and_(hit, pc.less_equal(
+                    arr, pa.scalar(hi, arr.type)))
+        hit = np.asarray(hit.to_numpy(zero_copy_only=False), dtype=bool)
+        return _tombstoned(mdir, row, local_base[hit])
 
     return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan))
+        _admitted_scan(out_dir, admits, scan, _DELETED_SCHEMA))
 
 
 def upsert_docs(out_dir: str, new_rows: pa.Table,
@@ -3119,52 +3108,43 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
         return _zone_admits((row.get("stats") or {}).get("doc_id"),
                             lo=lo, hi=hi)
 
-    def scan(batch: pa.Table) -> pa.Table:
-        out_ids: list = []
-        out_n: list = []
-        for row in manifest_table_to_rows(batch):
-            got = _read_admitted_pages(row, _column_meta(row, "doc_id"),
-                                       lo=lo, hi=hi)
-            if got is None:
-                continue
-            ids, local_rows = got
-            hit = pc.and_(pc.greater_equal(ids, lo),
-                          pc.less_equal(ids, hi)) \
-                .to_numpy(zero_copy_only=False)
-            if not hit.any():
-                continue
-            hit_rows = local_rows[hit]
-            hit_idx = np.flatnonzero(hit)
-            dr = row.get("deleted_rows")
-            if dr:  # tombstoned rows are invisible to range scans
-                alive = ~np.isin(hit_rows, np.asarray(dr, dtype=np.int64))
-                if not alive.any():
-                    continue
-                hit_rows = hit_rows[alive]
-                hit_idx = hit_idx[alive]
-            # n_tok pages covering the hit rows only
-            skel_n = read_column_skeleton(row, "n_tok")
-            nrows = np.array([p.values_count for p in skel_n.pages],
-                             dtype=np.int64)
-            npe = np.cumsum(nrows)
-            nps = npe - nrows
-            pg = np.searchsorted(npe, hit_rows, side="right")
-            keep_n = sorted({int(p) for p in pg})
-            enc_n, _b2, _t2 = read_column_pages(row, "n_tok", keep_n)
-            nvals = np.asarray(fmt.decode_chunk(enc_n), dtype=np.int64)
-            kept_starts = nps[keep_n]
-            kcum = np.concatenate(([0], np.cumsum(nrows[keep_n])))
-            idx = np.searchsorted(kept_starts, hit_rows, side="right") - 1
-            out_ids.append(ids.take(pa.array(hit_idx)))
-            out_n.append(nvals[kcum[idx] + (hit_rows - kept_starts[idx])])
-        ids_arr = (pa.concat_arrays(out_ids) if out_ids
-                   else pa.array([], pa.string()))
-        n_arr = (np.concatenate(out_n) if out_n
-                 else np.empty(0, np.int64))
-        return pa.table({"doc_id": ids_arr,
-                         "n_tok": pa.array(n_arr, pa.int64())})
+    def scan(row: dict) -> pa.Table | None:
+        got = _read_admitted_pages(row, _column_meta(row, "doc_id"),
+                                   lo=lo, hi=hi)
+        if got is None:
+            return None
+        ids, local_rows = got
+        hit = pc.and_(pc.greater_equal(ids, lo),
+                      pc.less_equal(ids, hi)) \
+            .to_numpy(zero_copy_only=False)
+        hit_rows = local_rows[hit]
+        hit_idx = np.flatnonzero(hit)
+        dr = row.get("deleted_rows")
+        if dr:  # tombstoned rows are invisible to range scans
+            alive = ~np.isin(hit_rows, np.asarray(dr, dtype=np.int64))
+            hit_rows = hit_rows[alive]
+            hit_idx = hit_idx[alive]
+        if not hit_idx.size:
+            return None
+        # n_tok pages covering the hit rows only
+        skel_n = read_column_skeleton(row, "n_tok")
+        nrows = np.array([p.values_count for p in skel_n.pages],
+                         dtype=np.int64)
+        npe = np.cumsum(nrows)
+        nps = npe - nrows
+        pg = np.searchsorted(npe, hit_rows, side="right")
+        keep_n = sorted({int(p) for p in pg})
+        enc_n, _b2, _t2 = read_column_pages(row, "n_tok", keep_n)
+        nvals = np.asarray(fmt.decode_chunk(enc_n), dtype=np.int64)
+        kept_starts = nps[keep_n]
+        kcum = np.concatenate(([0], np.cumsum(nrows[keep_n])))
+        idx = np.searchsorted(kept_starts, hit_rows, side="right") - 1
+        return pa.table({
+            "doc_id": ids.take(pa.array(hit_idx)),
+            "n_tok": pa.array(nvals[kcum[idx] + (hit_rows - kept_starts[idx])],
+                              pa.int64())})
 
-    return _admitted_scan(out_dir, admits, scan)
+    return _admitted_scan(out_dir, admits, scan, _RANGE_SCHEMA)
 
 
 def scan_column_pages(out_dir: str, column: str, page_pred,

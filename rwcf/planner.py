@@ -89,23 +89,21 @@ def partition_stats(out_dir: str, snapshot: str | None = None):
                           **rayenv.remote_args())
 
 
-def _zone_admits(row: dict, column: str, lo, hi) -> bool:
-    st = (row.get("stats") or {}).get(column)
-    if st is None:
-        return True  # no stats -> cannot prune
-    mn, mx = st["min"], st["max"]
-    if mn is None or mx is None:
-        return True
-    return not (mx < lo or mn > hi)
-
-
 def plan_scan(out_dir: str, column: str, op: str, value=None,
               value2=None, snapshot: str | None = None) -> dict:
     """Choose the cheapest access path for one predicate, metadata-only.
 
     ``op``: "eq" (column == value), "between" (value <= column <= value2,
-    inclusive), "contains_tokens" (value = list of token ids that must
-    appear contiguously; column must be "tokens").
+    inclusive), "isnull" (value True = IS NULL, False = IS NOT NULL),
+    "contains_tokens" (value = list of token ids that must appear
+    contiguously; column must be "tokens").
+
+    Runs in the driver. Partitions are admitted by the manifest zone
+    maps' rule every point plan shares (pipeline._zone_admits: an
+    all-NULL partition is admitted only by IS NULL), then for "eq" by
+    each partition's Bloom sidecar on the column when it has one
+    (pipeline._bloom_admits, one sidecar read per zone-admitted
+    partition).
     """
     if op not in _OPS:
         raise ValueError(f"op must be one of {_OPS}, got {op!r}")
@@ -126,38 +124,20 @@ def plan_scan(out_dir: str, column: str, op: str, value=None,
             pids = {r["pid"] for r in rows}
             strategy = "full"
         admitted = [r for r in rows if r["pid"] in pids]
-    elif op == "isnull":
-        # null-count zone map (round 5, v2 validity footers): value is
-        # the bool (True = IS NULL, False = IS NOT NULL)
-        from .update import _zone_admits as _za
-        admitted = [r for r in rows
-                    if _za(r, column, isnull=bool(value))]
-        strategy = ("nullmap" if len(admitted) < total else "full")
     else:
-        lo, hi = (value, value) if op == "eq" else (value, value2)
-        zone = [r for r in rows if _zone_admits(row=r, column=column,
-                                                lo=lo, hi=hi)]
-        strategy = "zonemap" if len(zone) < total else "full"
-        admitted = zone
+        # isnull: the null-count zone map (v2 validity footers); value
+        # is the bool (True = IS NULL, False = IS NOT NULL)
+        probe = ({"isnull": bool(value)} if op == "isnull" else
+                 {"vals": [value]} if op == "eq" else
+                 {"lo": value, "hi": value2})
+        admitted = [r for r in rows if pipeline._zone_admits(
+            (r.get("stats") or {}).get(column), **probe)]
+        strategy = ("full" if len(admitted) == total else
+                    "nullmap" if op == "isnull" else "zonemap")
         if op == "eq" and any((r.get("bloom") or {}).get(column)
-                              for r in zone):
-            from . import bloom as _bloom
-            from . import format as _fmt
-            # probe with the COLUMN's dtype: an int-key sidecar hashes
-            # fixed-width keys, so a str(value) probe would hash down
-            # the string path and manufacture false negatives
-            dt = next((c["dtype"] for r in zone for c in r["columns"]
-                       if c["column"] == column), "str")
-            probe = (pa.array([int(value)], pa.int64())
-                     if not _fmt.is_string(dt)
-                     else pa.array([str(value)], pa.string()))
-            kept = []
-            for r in zone:
-                bm = pipeline.read_bloom(r, column)
-                if bm is None or _bloom.might_contain(
-                        bm[0], bm[1], bm[2], probe).any():
-                    kept.append(r)
-            admitted = kept
+                              for r in admitted):
+            admitted = [r for r in admitted
+                        if pipeline._bloom_admits(r, column, [value])]
             strategy = ("zonemap+bloom" if strategy == "zonemap"
                         else "bloom")
 
@@ -229,46 +209,43 @@ def ordered_limit_scan(out_dir: str, column: str, k: int,
     rows produces the answer — the all-to-all Ray Sort never sees the
     corpus, only k-sized locals.
 
+    NULLs never rank: like Arrow's ``select_k_unstable`` the answer is
+    the k smallest (largest) non-NULL values, fewer when the store holds
+    fewer. A partition's non-NULL live rows count toward the prefix as
+    ``n_rows - len(deleted_rows) - null_count`` (a lower bound: a
+    tombstoned row may be NULL), and an all-NULL partition holds no
+    candidate, so it is pruned.
+
     Returns ``(dataset, plan)``; the dataset rows are globally sorted.
     Partitioning assumption (custom-operator rule): k * admitted
     partitions fits one final task — use a pre-filter for huge k."""
     import pyarrow.compute as pc
     rows = pipeline.load_manifest(out_dir, snapshot=snapshot)
     total = len(rows)
-    end = "max" if descending else "min"
-
-    def best(r):
-        st = (r.get("stats") or {}).get(column)
-        return None if st is None else st.get(end)
-
+    zoned = [(r, (r.get("stats") or {}).get(column)) for r in rows]
+    zoned = [z for z in zoned if pipeline._zone_admits(z[1], isnull=False)]
     # stat-less partitions may hold anything: they go FIRST (always in
-    # the admitted prefix) and never prune
-    unknown = [r for r in rows if best(r) is None]
-    known = sorted((r for r in rows if best(r) is not None), key=best,
-                   reverse=descending)
-    srt = unknown + known
-
-    live = [r["n_rows"] - len(r.get("deleted_rows") or ()) for r in srt]
+    # the admitted prefix), count no row toward k and never prune
+    srt = [z for z in zoned if z[1] is None] + sorted(
+        (z for z in zoned if z[1] is not None),
+        key=lambda z: z[1]["max" if descending else "min"],
+        reverse=descending)
     cum = 0
     prefix = 0
-    for i, n in enumerate(live):
-        cum += n
-        prefix = i + 1
+    for r, st in srt:
+        if st is not None:
+            cum += (r["n_rows"] - len(r.get("deleted_rows") or ())
+                    - st.get("null_count", 0))
+        prefix += 1
         if cum >= k:
             break
     # bound: the k-th best value is no worse than the prefix's worst
     # possible value; only partitions whose best can beat it matter
-    stats = [(r.get("stats") or {}).get(column) for r in srt]
-    if descending:
-        bound = min((s["min"] for s in stats[:prefix] if s),
-                    default=None)
-        admitted = [r for r, s in zip(srt, stats)
-                    if s is None or bound is None or s["max"] >= bound]
-    else:
-        bound = max((s["max"] for s in stats[:prefix] if s),
-                    default=None)
-        admitted = [r for r, s in zip(srt, stats)
-                    if s is None or bound is None or s["min"] <= bound]
+    worst = [st["min" if descending else "max"]
+             for _r, st in srt[:prefix] if st is not None]
+    bound = (min if descending else max)(worst, default=None)
+    admitted = [r for r, st in srt if pipeline._zone_admits(
+        st, **{"lo" if descending else "hi": bound})]
     plan = {"column": column, "k": k, "descending": descending,
             "strategy": "ordered-zonemap",
             "partitions_total": total,

@@ -705,17 +705,19 @@ def range_merge_join(dir_a: str, dir_b: str, on: str = "doc_id",
 def prune_rows(rows: list[dict], where: dict | None) -> list[dict]:
     """Zone-map partition prune for a declarative predicate
     ``{"col": name, "eq": v, "between": (lo,hi), "isin": [...],
-    "isnull": bool}`` — conservative (keeps any partition whose stats
-    admit a match; ``isnull`` prunes on the manifest null_count from the
-    v2 validity footers), exactness restored by the in-task row
-    filter."""
+    "isnull": bool}``, run in the driver by the rule every manifest-
+    planned read shares (pipeline._zone_admits) — conservative (keeps
+    any partition whose stats admit a match; ``isnull`` prunes on the
+    manifest null_count from the v2 validity footers, and an all-NULL
+    partition is kept only by IS NULL), exactness restored by the
+    in-task row filter. No Bloom sidecar is probed here."""
     if not where:
         return rows
-    from .update import _zone_admits
-    col = where["col"]
-    return [r for r in rows
-            if _zone_admits(r, col, where.get("eq"), where.get("between"),
-                            where.get("isin"), where.get("isnull"))]
+    from .update import _zone_probe
+    probe = _zone_probe(where.get("eq"), where.get("between"),
+                        where.get("isin"), where.get("isnull"))
+    return [r for r in rows if pipeline._zone_admits(
+        (r.get("stats") or {}).get(where["col"]), **probe)]
 
 
 def _row_filter(t: pa.Table, where: dict | None) -> pa.Table:

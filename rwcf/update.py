@@ -45,10 +45,10 @@ import pyarrow as pa
 from . import format as fmt
 from . import rayenv, selector
 from .pipeline import (EncodeConfig, _compress_frames, _sliced_blocks,
-                       _stage_cap, _default_concurrency, decode_partition,
-                       commit_manifest_row, load_manifest,
+                       _stage_cap, _default_concurrency, _zone_admits,
+                       decode_partition, commit_manifest_row, load_manifest,
                        manifest_rows_to_table, manifest_table_to_rows,
-                       read_manifest_row)
+                       read_manifest_row, zone_map)
 
 
 def _pred_mask(vals: pa.Array, eq=None, between=None, isin=None,
@@ -66,26 +66,18 @@ def _pred_mask(vals: pa.Array, eq=None, between=None, isin=None,
     raise ValueError("one of eq / between / isin / isnull required")
 
 
-def _zone_admits(row: dict, column: str, eq=None, between=None, isin=None,
-                 isnull=None):
-    st = (row.get("stats") or {}).get(column)
+def _zone_probe(eq=None, between=None, isin=None, isnull=None) -> dict:
+    """pipeline._zone_admits keywords of the predicate _pred_mask
+    evaluates (the same precedence)."""
     if isnull is not None:
-        # null-count zone map (round 5, v2 validity footers): stats
-        # without the key mean the column had no nulls when written
-        if not st:
-            return True  # no stats at all: conservative keep
-        nc = int(st.get("null_count") or 0)
-        return nc > 0 if isnull else nc < int(row["n_rows"])
-    if not st or st.get("min") is None:
-        return True
-    lo, hi = st["min"], st["max"]
+        return {"isnull": isnull}
     if eq is not None:
-        return lo <= eq <= hi
+        return {"vals": [eq]}
     if between is not None:
-        return not (between[1] < lo or between[0] > hi)
+        return {"lo": between[0], "hi": between[1]}
     if isin is not None:
-        return any(lo <= v <= hi for v in isin)
-    return True
+        return {"vals": sorted(set(isin))}
+    return {}
 
 
 def update_where(out_dir: str, set_col: str, set_value,
@@ -138,11 +130,12 @@ def update_where(out_dir: str, set_col: str, set_value,
         return p
 
     rows = load_manifest(out_dir)
+    probe = _zone_probe(eq, between, isin, isnull)
     admitted = [r for r in rows
                 if any(c["column"] == phys(r, set_col)
                        for c in r["columns"])
-                and _zone_admits(r, phys(r, pred_col), eq, between,
-                                 isin, isnull)]
+                and _zone_admits(
+                    (r.get("stats") or {}).get(phys(r, pred_col)), **probe)]
     # deterministic update tag -> idempotent resume
     tag = zlib.crc32(json.dumps(
         [set_col, pred_col, repr(eq), repr(between), repr(isin),
@@ -286,7 +279,6 @@ def _rewrite_partition(row: dict, set_col: str, new_vals: pa.Array,
     """Build the successor partition: re-encode ONE column, byte-copy the
     rest, commit file-first manifest-row-last (single atomic visibility
     flip carrying ``replaces``)."""
-    import pyarrow.compute as pc
     t0 = time.perf_counter()
     old_cm = next(c for c in row["columns"] if c["column"] == set_col)
     blob, new_meta, dec_b = _encode_section(
@@ -349,10 +341,7 @@ def _rewrite_partition(row: dict, set_col: str, new_vals: pa.Array,
             bloom_bytes += len(rawb)
 
     stats = dict(row.get("stats") or {})
-    mm = pc.min_max(new_vals)  # skips nulls; all-null -> (None, None)
-    stats[set_col] = {"min": mm["min"].as_py(), "max": mm["max"].as_py()}
-    if new_vals.null_count:
-        stats[set_col]["null_count"] = int(new_vals.null_count)
+    stats[set_col] = zone_map(new_vals)
     lineage = {"update_of": row["pid"], "set_col": set_col,
                "rows_matched": n_match}
     new_row = _commit_successor(
@@ -494,7 +483,6 @@ def derive_column(out_dir: str, new_col: str, fn,
     dtag = f"{tag:08x}"
 
     def add_one(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         out = []
         for row in manifest_table_to_rows(batch):
             new_pid = f"{row['pid']}-d{dtag}"
@@ -524,9 +512,7 @@ def derive_column(out_dir: str, new_col: str, fn,
                     row, f, offset, skip=set())
                 sections.extend(bsecs)
             stats = dict(row.get("stats") or {})
-            mm = pc.min_max(vals)
-            stats[new_col] = {"min": mm["min"].as_py(),
-                              "max": mm["max"].as_py()}
+            stats[new_col] = zone_map(vals)
             lineage = {"derive_of": row["pid"], "new_col": new_col}
             # encoded_bytes stays data-only (blooms account separately),
             # matching encode_partition's accounting

@@ -148,12 +148,14 @@ def _spy(monkeypatch) -> list:
     seen: list = []
     orig = pipeline._admitted_scan
 
-    def spy(out_dir, admits, scan, snapshot=None):
-        def echo(batch: pa.Table) -> pa.Table:
-            return pa.table({"pid": batch.column("pid"),
-                             "n_deleted": pa.array([0] * batch.num_rows,
-                                                   pa.int64())})
-        ds = orig(out_dir, admits, echo, snapshot)
+    def spy(out_dir, admits, scan, schema, snapshot=None):
+        echo_schema = pa.schema([("pid", pa.string()),
+                                 ("n_deleted", pa.int64())])
+
+        def echo(row: dict) -> pa.Table:
+            return pa.table({"pid": [row["pid"]], "n_deleted": [0]},
+                            schema=echo_schema)
+        ds = orig(out_dir, admits, echo, echo_schema, snapshot)
         seen.append(sorted(p for t in ray.get(ds.to_arrow_refs())
                            for p in t.column("pid").to_pylist()))
         return ds
@@ -322,13 +324,13 @@ def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
     yielded: list = []
     orig = pipeline._admitted_scan
 
-    def recording(out_dir, admits, scan, snapshot=None):
-        def rec(batch: pa.Table) -> pa.Table:
-            got = scan(batch)
-            if got.num_rows:
-                yielded.extend(batch.column("pid").to_pylist())
+    def recording(out_dir, admits, scan, schema, snapshot=None):
+        def rec(row: dict) -> pa.Table | None:
+            got = scan(row)
+            if got is not None and got.num_rows:
+                yielded.append(row["pid"])
             return got
-        return orig(out_dir, admits, rec, snapshot)
+        return orig(out_dir, admits, rec, schema, snapshot)
 
     monkeypatch.setattr(pipeline, "_admitted_scan", recording)
     ctx = DataContext.get_current()
