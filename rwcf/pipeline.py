@@ -828,27 +828,34 @@ def _bloom_admits(row: dict, column: str, vals: list) -> bool:
     return bool(_bloom.might_contain(*bm, [cast(v) for v in vals]).any())
 
 
+def _admitted_results(rows: list[dict], admits, scan):
+    """The driver loop of every point plan: ``scan(row)`` for each
+    manifest row of ``rows`` that ``admits(row)`` (zone maps, Bloom
+    sidecars, excluded pids), so a pruned partition costs no data read.
+    ``scan`` returns a reader's rows as a table or a deleter's newly
+    tombstoned count; non-empty results are yielded in manifest order.
+    It runs in the driver, one partition at a time: Ray Data's fixed
+    cost per job exceeds a point plan's whole scan, and on 1 cpu the
+    driver beat a ``batch_size=1`` Ray UDF at every admitted count
+    measured (1 to 118 partitions); a plan admitting many partitions on
+    a multi-cpu cluster gives up Ray's parallel scan (not measured)."""
+    for row in rows:
+        if admits(row):
+            res = scan(row)
+            if res:  # a table's truth is its row count
+                yield res
+
+
 def _admitted_scan(out_dir: str, admits, scan, schema: pa.Schema,
                    snapshot: str | None = None):
-    """Driver-planned partition scan, the shared plan of the point readers
-    and deleters. The manifest is loaded once in the driver and only the
-    rows for which ``admits(row)`` holds (zone maps, Bloom sidecars,
-    excluded pids) reach ``scan``, so a pruned partition costs no data
-    read.
-
-    ``scan(row)`` takes one admitted manifest row and returns its result
-    rows as a table of ``schema`` (None for none). It runs in the driver,
-    one admitted partition at a time: Ray Data's fixed cost per job
-    exceeds the whole scan of a point plan, and on 1 cpu the driver beat
-    a ``batch_size=1`` Ray UDF at every admitted count measured (1 to
-    118 partitions). A plan admitting many partitions on a multi-cpu
-    cluster gives up Ray's parallel scan for this; that cost is not
-    measured. The result is one typed ``MaterializedDataset``.
-    Its rows move into the object store in blocks of at most
-    ``DataContext.target_max_block_size`` (plus one partition's rows),
-    each put as it fills, so a wide range scan never holds more than one
-    block in driver memory; a plan that yields no row still returns one
-    empty block of ``schema``."""
+    """The Dataset wrap of the public point readers (lookup_docs,
+    range_scan_docs): the manifest (AS OF ``snapshot``) is loaded once
+    and _admitted_results' tables become one typed
+    ``MaterializedDataset`` of ``schema``. Its rows move into the object
+    store in blocks of at most ``DataContext.target_max_block_size``
+    (plus one partition's rows), each put as it fills, so a wide range
+    scan never holds more than one block in driver memory; a plan that
+    yields no row still returns one empty block of ``schema``."""
     import ray
     import ray.data as rd
     from ray.data.context import DataContext
@@ -856,12 +863,8 @@ def _admitted_scan(out_dir: str, admits, scan, schema: pa.Schema,
     refs: list = []
     pending: list[pa.Table] = []
     size = 0
-    for row in load_manifest(out_dir, snapshot=snapshot):
-        if not admits(row):
-            continue
-        part = scan(row)
-        if part is None or not part.num_rows:
-            continue
+    for part in _admitted_results(load_manifest(out_dir, snapshot=snapshot),
+                                  admits, scan):
         pending.append(part)
         size += part.nbytes
         if cap is not None and size >= cap:
@@ -2095,12 +2098,12 @@ def replicate_cdc(primary_dir: str, replica_dir: str, from_snapshot: str,
     2-int hash rows through its one bucketed exchange plus the scalar
     payload columns (n_tok, source); the TOKEN payload never rides the
     join — inserted/updated rows' tokens come point-to-point from the
-    primary via :func:`lookup_docs` (zone-map + Bloom pruned, admitted
-    pages only). Deletes tombstone, inserts/updates apply as one
-    append-then-shadow upsert, so replication inherits upsert's
-    idempotency: re-running a crashed replicate converges. The delta is
-    driver-resident by the same incremental-batch assumption as
-    merge_docs/upsert_docs."""
+    primary via lookup_docs' driver table (_lookup_table: zone-map +
+    Bloom pruned, admitted pages only). Deletes tombstone,
+    inserts/updates apply as one append-then-shadow upsert, so
+    replication inherits upsert's idempotency: re-running a crashed
+    replicate converges. The delta is driver-resident by the same
+    incremental-batch assumption as merge_docs/upsert_docs."""
     delta = cdc_scan(primary_dir, from_snapshot, to_snapshot,
                      concurrency=concurrency,
                      payload=["n_tok", "source"]).to_pandas()
@@ -2111,25 +2114,8 @@ def replicate_cdc(primary_dir: str, replica_dir: str, from_snapshot: str,
     dead = delta.loc[delta["op"] == "delete", "doc_id"].tolist()
     live = delta[delta["op"].isin(["insert", "update"])]
     if len(live):
-        toks = lookup_docs(primary_dir, live["doc_id"].tolist(),
-                           concurrency=concurrency).to_pandas() \
-            .set_index("doc_id")["tokens"]
-        meta = live.set_index("doc_id")
-        ids = sorted(toks.index)
-        seqs = [np.asarray(toks[d], dtype=np.int32) for d in ids]
-        offsets = np.concatenate(
-            ([0], np.cumsum([s.size for s in seqs]))).astype(np.int64)
-        la = pa.LargeListArray.from_arrays(
-            offsets, pa.array(np.concatenate(seqs) if seqs
-                              else np.array([], np.int32), pa.int32())) \
-            .cast(pa.list_(pa.int32()))
-        tbl = pa.table({
-            "doc_id": pa.array(ids, pa.string()),
-            "tokens": la,
-            "n_tok": pa.array([s.size for s in seqs], pa.int32()),
-            "source": pa.array([meta.loc[d, "source_new"] for d in ids],
-                               pa.string()),
-        })
+        tbl = _reupserted(_lookup_table(primary_dir, live["doc_id"].tolist()),
+                          live.set_index("doc_id")["source_new"])
         res = upsert_docs(replica_dir, tbl, cfg=cfg,
                           concurrency=concurrency)
         stats["applied"] = int(tbl.num_rows)
@@ -2138,6 +2124,26 @@ def replicate_cdc(primary_dir: str, replica_dir: str, from_snapshot: str,
         d = delete_docs(replica_dir, dead, concurrency=concurrency)
         stats["deleted"] = int(d["rows_deleted"])
     return stats
+
+
+def _reupserted(found: pa.Table, source) -> pa.Table:
+    """TOKENS_SCHEMA rows, sorted by doc_id, that upsert the looked-up
+    rows ``found`` (_lookup_table) again with each doc's ``source`` (a
+    doc_id-indexed Series): replicate_cdc's and rollback_to_snapshot's
+    payload."""
+    toks = found.to_pandas().set_index("doc_id")["tokens"]
+    ids = sorted(toks.index)
+    seqs = [np.asarray(toks[d], dtype=np.int32) for d in ids]
+    offsets = np.concatenate(
+        ([0], np.cumsum([s.size for s in seqs]))).astype(np.int64)
+    la = pa.LargeListArray.from_arrays(
+        offsets, pa.array(np.concatenate(seqs) if seqs
+                          else np.array([], np.int32), pa.int32())) \
+        .cast(pa.list_(pa.int32()))
+    return pa.table({"doc_id": pa.array(ids, pa.string()), "tokens": la,
+                     "n_tok": pa.array([s.size for s in seqs], pa.int32()),
+                     "source": pa.array([source[d] for d in ids],
+                                        pa.string())})
 
 
 def rollback_to_snapshot(out_dir: str, snapshot: str,
@@ -2156,8 +2162,8 @@ def rollback_to_snapshot(out_dir: str, snapshot: str,
     rows INSERTED since the snapshot are tombstoned away
     (:func:`delete_docs`), rows DELETED or UPDATED since are restored by
     one append-then-shadow :func:`upsert_docs` whose token payloads come
-    point-to-point from the snapshot view via
-    ``lookup_docs(snapshot=...)`` (zone-map + Bloom pruned — readable
+    point-to-point from the snapshot view via lookup_docs' driver table
+    (``_lookup_table(snapshot=...)``: zone-map + Bloom pruned — readable
     even after a compaction rewrote the live store, because snapshots
     pin their partition files from gc). History stays intact: earlier
     snapshots remain time-travelable, and re-running a crashed rollback
@@ -2173,30 +2179,14 @@ def rollback_to_snapshot(out_dir: str, snapshot: str,
     dead = delta.loc[delta["op"] == "insert", "doc_id"].tolist()
     back = delta[delta["op"].isin(["delete", "update"])]
     if len(back):
-        toks = lookup_docs(out_dir, back["doc_id"].tolist(),
-                           concurrency=concurrency, snapshot=snapshot) \
-            .to_pandas().set_index("doc_id")["tokens"]
-        meta = back.set_index("doc_id")
-        ids = sorted(toks.index)
-        missing = set(back["doc_id"]) - set(ids)
+        tbl = _reupserted(_lookup_table(out_dir, back["doc_id"].tolist(),
+                                        snapshot=snapshot),
+                          back.set_index("doc_id")["source_old"])
+        missing = set(back["doc_id"]) - set(tbl.column("doc_id").to_pylist())
         if missing:
             raise FileNotFoundError(
                 f"snapshot {snapshot} payloads unavailable for "
                 f"{sorted(missing)[:5]} (gc'd?)")
-        seqs = [np.asarray(toks[d], dtype=np.int32) for d in ids]
-        offsets = np.concatenate(
-            ([0], np.cumsum([s.size for s in seqs]))).astype(np.int64)
-        la = pa.LargeListArray.from_arrays(
-            offsets, pa.array(np.concatenate(seqs) if seqs
-                              else np.array([], np.int32), pa.int32())) \
-            .cast(pa.list_(pa.int32()))
-        tbl = pa.table({
-            "doc_id": pa.array(ids, pa.string()),
-            "tokens": la,
-            "n_tok": pa.array([s.size for s in seqs], pa.int32()),
-            "source": pa.array([meta.loc[d, "source_old"] for d in ids],
-                               pa.string()),
-        })
         res = upsert_docs(out_dir, tbl, cfg=cfg, concurrency=concurrency)
         stats["restored"] = int(tbl.num_rows)
         stats["run_id"] = res["run_id"]
@@ -2390,9 +2380,11 @@ def late_materialized_sum(out_dir: str, pred_col: str = "source",
     decides which PAGES of the value column are ever fetched. Per
     partition: (1) partition-level prune on manifest stats (zero IO when
     the predicate value is outside the partition's range), (2) the
-    predicate column evaluates in its compressed domain (_pred_row_mask),
-    (3) only value-column pages containing >= 1 matching row are read
-    (read_column_pages — pruned zstd page frames never leave disk), (4) a
+    predicate column evaluates in its compressed domain (_pred_row_mask;
+    on a nullable column the mask scatters through the validity, so NULL
+    matches nothing), (3) only value-column pages containing >= 1
+    matching row are read (read_column_pages — pruned zstd page frames
+    never leave disk), (4) a
     vectorized in-page mask finishes the SUM/COUNT. Partials are six ints
     per manifest block, so the exchange is a scalar aggregate. Returns one
     row: (n_rows, sum_val, pages_kept, pages_total, bytes_read,
@@ -2415,23 +2407,33 @@ def late_materialized_sum(out_dir: str, pred_col: str = "source",
         tot = {"n_rows": 0, "sum_val": 0, "pages_kept": 0,
                "pages_total": 0, "bytes_read": 0, "bytes_total": 0}
         for row in manifest_table_to_rows(batch):
-            vcm = next(c for c in row["columns"] if c["column"] == val_col)
-            skel = read_column_skeleton(row, val_col)
-            rows_pp = np.array([p.values_count for p in skel.pages],
-                               dtype=np.int64)
-            tot["pages_total"] += len(skel.pages)
+            vcm = _column_meta(row, val_col)
+            # the manifest counts the value pages, so a pruned partition
+            # costs no IO; a row without page stats reads the skeleton
+            stats = vcm.get("page_stats")
+            skel = read_column_skeleton(row, val_col) if stats is None \
+                else None
+            tot["pages_total"] += len(stats if skel is None else skel.pages)
             tot["bytes_total"] += vcm["length"]
             if not _zone_admits((row.get("stats") or {}).get(pred_col),
                                 **probe):
                 continue
-            mask = _pred_row_mask(read_column_section(row, pred_col),
-                                  pred_val, between=pred_between)
+            enc = read_column_section(row, pred_col, allow_nulls=True)
+            mask = _pred_row_mask(enc, pred_val, between=pred_between)
+            if enc.validity is not None:
+                # the mask covers the dense values; NULL matches nothing
+                dense, mask = mask, np.zeros(enc.validity.size, dtype=bool)
+                mask[enc.validity] = dense
             dr = row.get("deleted_rows")
             if dr:  # tombstoned rows are invisible to the aggregate
                 mask = mask.copy()
                 mask[np.asarray(dr, dtype=np.int64)] = False
             if not mask.any():
                 continue
+            if skel is None:
+                skel = read_column_skeleton(row, val_col)
+            rows_pp = np.array([p.values_count for p in skel.pages],
+                               dtype=np.int64)
             pe = np.cumsum(rows_pp)
             ps = pe - rows_pp
             per_page = np.add.reduceat(mask.astype(np.int64), ps)
@@ -2629,7 +2631,7 @@ def _read_admitted_pages(row: dict, cm: dict, vals: list | None = None,
     """Fetch and decode ONLY the pages of column ``cm`` whose per-page
     zone maps admit the probes. A point plan's scan calls this in the
     driver on a partition whose manifest zone map and Bloom sidecar
-    already admitted the probes (_admitted_scan); the page rule is the
+    already admitted the probes (_admitted_results); the page rule is the
     same _zone_admits. Returns ``(values,
     local_rows)`` — the decoded Arrow values (strings as ``pa.string()``)
     and their partition-local row indices — or None when no page admits.
@@ -2653,11 +2655,10 @@ def _column_meta(row: dict, column: str) -> dict | None:
     return next((c for c in row["columns"] if c["column"] == column), None)
 
 
-#: result schemas of the point readers and deleters (_admitted_scan)
+#: result schemas of the point readers (_admitted_scan)
 _LOOKUP_SCHEMA = pa.schema([("doc_id", pa.string()),
                             ("tokens", pa.list_(pa.int32()))])
 _RANGE_SCHEMA = pa.schema([("doc_id", pa.string()), ("n_tok", pa.int64())])
-_DELETED_SCHEMA = pa.schema([("pid", pa.string()), ("n_deleted", pa.int64())])
 
 
 def lookup_docs(out_dir: str, keys: list[str],
@@ -2667,7 +2668,7 @@ def lookup_docs(out_dir: str, keys: list[str],
     "efficient row skipping" (wills-columnar-format.org:187-194) at row
     granularity: (1) the DRIVER prunes every partition whose manifest
     doc_id range excludes every probe, so a pruned partition costs no
-    IO (_admitted_scan), (2) within an admitted partition only
+    IO (_admitted_results), (2) within an admitted partition only
     doc_id PAGES whose truncated string zone maps admit a probe are
     fetched, (3) matched rows map through n_tok prefix sums to token
     ranges, and ONLY the token pages covering those ranges are read and
@@ -2677,7 +2678,7 @@ def lookup_docs(out_dir: str, keys: list[str],
     read that skips the partition's data sections entirely unless some
     probe MAY be present (the scale path for hash-like ids, where every
     partition's [min,max] range admits every probe). Admission and scan
-    both run in the driver (_admitted_scan), so ``concurrency`` has no
+    both run in the driver (_admitted_results), so ``concurrency`` has no
     effect here; it stays for callers that pass it.
     Returns a materialized Dataset of (doc_id, tokens) rows for the found
     keys (detokenization is the caller's concern — token streams need not
@@ -2686,6 +2687,21 @@ def lookup_docs(out_dir: str, keys: list[str],
     immutable partition files plus the snapshot's pid/tombstone view
     make historical point reads free (rollback_to_snapshot's payload
     source)."""
+    return _admitted_scan(out_dir, *_lookup_plan(keys), _LOOKUP_SCHEMA,
+                          snapshot)
+
+
+def _lookup_table(out_dir: str, keys: list[str],
+                  snapshot: str | None = None) -> pa.Table:
+    """lookup_docs' rows as one driver table of ``_LOOKUP_SCHEMA``, with
+    no Dataset built: the input of the mutations that read stored
+    payloads (merge_docs, replicate_cdc, rollback_to_snapshot)."""
+    return pa.concat_tables([_LOOKUP_SCHEMA.empty_table(), *_admitted_results(
+        load_manifest(out_dir, snapshot=snapshot), *_lookup_plan(keys))])
+
+
+def _lookup_plan(keys: list[str]):
+    """lookup_docs' ``(admits, scan)`` pair for _admitted_results."""
     keys = sorted(set(str(k) for k in keys))
     probe_arr = pa.array(keys, pa.string())
 
@@ -2747,7 +2763,7 @@ def lookup_docs(out_dir: str, keys: list[str],
         return pa.table({"doc_id": ids.take(pa.array(hit_idx)),
                          "tokens": la})
 
-    return _admitted_scan(out_dir, admits, scan, _LOOKUP_SCHEMA, snapshot)
+    return admits, scan
 
 
 def _pid_lock(tpath: str, timeout_s: float = 30.0,
@@ -2785,13 +2801,16 @@ def _pid_lock(tpath: str, timeout_s: float = 30.0,
 def _merge_tombstone(mdir: str, row: dict, hit_positions) -> int:
     """Union-merge newly dead local row indices into the partition's
     ``{pid}.del.json`` tombstone sidecar (atomic tmp+rename; idempotent).
-    Returns the count of NEWLY deleted rows (0 = nothing written).
+    Returns the count of NEWLY deleted rows (0 = nothing written; no
+    position at all takes no lock).
 
     Safe under concurrent writer JOBS: the read-merge-write runs under a
     per-pid lockfile (:func:`_pid_lock`), so two delete/upsert jobs
     hitting the same partition serialize and both sets of positions
     land. Within one call each pid is scanned once, so the lock is
     uncontended on the common path (one O_CREAT+unlink pair)."""
+    if not len(hit_positions):
+        return 0
     tpath = os.path.join(mdir, f"{row['pid']}.del.json")
     lock = _pid_lock(tpath)
     try:
@@ -2829,12 +2848,12 @@ def delete_docs(out_dir: str, keys: list[str],
     tombstones to manifest rows). Compaction materializes deletes away
     and drops the tombstones.
 
-    Matching is index-grade, not a scan: the DRIVER prunes partitions by
-    ``exclude_pids``, manifest zone maps and then Bloom sidecars
-    (_admitted_scan, _bloom_admits), and only admitted doc_id PAGES
-    decode. The scan runs in the driver
-    (_admitted_scan; ``concurrency`` has no effect), and each tombstone
-    commit takes the per-pid lock.
+    Matching is delete_where's doc_id equality plan, index-grade, not a
+    scan: the DRIVER prunes partitions by ``exclude_pids``, manifest zone
+    maps and then Bloom sidecars (_admitted_results, _bloom_admits), and
+    only admitted doc_id PAGES decode. The scan runs in the driver too
+    (``concurrency`` has no effect), each tombstone commit takes the
+    per-pid lock, and the driver sums the counts: no Dataset is built.
     Idempotent (re-deleting union-merges), and safe under CONCURRENT
     delete/upsert/merge jobs: each partition's tombstone commit runs
     under a per-pid lockfile (see _merge_tombstone), so racing jobs
@@ -2845,44 +2864,8 @@ def delete_docs(out_dir: str, keys: list[str],
     ``exclude_pids`` exempts partitions from the delete — upsert_docs
     uses it so the freshly appended versions survive their own
     shadow pass."""
-    keys = sorted(set(str(k) for k in keys))
-    probe_arr = pa.array(keys, pa.string())
-    mdir = os.path.join(out_dir, "manifest")
-    excl = frozenset(exclude_pids or ())
-
-    def admits(row: dict) -> bool:
-        return row["pid"] not in excl \
-            and _zone_admits((row.get("stats") or {}).get("doc_id"), keys) \
-            and _bloom_admits(row, "doc_id", keys)
-
-    def scan(row: dict) -> pa.Table | None:
-        got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
-        if got is None:
-            return None
-        ids, local = got
-        hit = pc.is_in(ids, value_set=probe_arr) \
-            .to_numpy(zero_copy_only=False)
-        return _tombstoned(mdir, row, local[hit])
-
-    return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan, _DELETED_SCHEMA))
-
-
-def _tombstoned(mdir: str, row: dict, hit_positions) -> pa.Table | None:
-    """A deleter's scan result for one partition: tombstone
-    ``hit_positions`` and report the newly deleted count (None if 0)."""
-    n_new = _merge_tombstone(mdir, row, hit_positions) \
-        if len(hit_positions) else 0
-    if not n_new:
-        return None
-    return pa.table({"pid": [row["pid"]], "n_deleted": [n_new]},
-                    schema=_DELETED_SCHEMA)
-
-
-def _deleted_counts(ds) -> dict:
-    res = ds.to_pandas()
-    return {"partitions": int(len(res)),
-            "rows_deleted": int(res["n_deleted"].sum()) if len(res) else 0}
+    return _delete_planned(out_dir, load_manifest(out_dir), "doc_id",
+                           [str(k) for k in keys], exclude_pids=exclude_pids)
 
 
 def delete_where(out_dir: str, column: str, values: list | None = None,
@@ -2893,11 +2876,11 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     ``BETWEEN lo AND hi``): resolves the predicate to position tombstones
     through the same index-grade path every point reader uses — the
     DRIVER prunes partitions by manifest zone maps and then, in equality
-    mode, by the column's Bloom sidecar when present (_admitted_scan,
+    mode, by the column's Bloom sidecar when present (_admitted_results,
     _bloom_admits); the scan's per-page zone maps keep only admitting
     PAGES, and only those pages of ONLY the predicate column ever
     decode. The scan runs in the driver too (``concurrency`` has no
-    effect).
+    effect) and the driver sums the counts: no Dataset is built.
     Partition data files are never rewritten; the committed tombstones
     are the same ``{pid}.del.json`` sidecars ``delete_docs`` writes, so
     every reader (decode_job, verify_job, lookup_docs, range_scan_docs,
@@ -2914,6 +2897,16 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
     if column == "tokens":
         raise ValueError("tokens is a flattened value stream, not "
                          "row-aligned; delete on a per-row column")
+    return _delete_planned(out_dir, load_manifest(out_dir), column, values,
+                           lo, hi, exclude_pids)
+
+
+def _delete_planned(out_dir: str, rows: list[dict], column: str,
+                    values: list | None = None, lo=None, hi=None,
+                    exclude_pids: set[str] | None = None) -> dict:
+    """delete_where over ``rows``, the manifest main view of ``out_dir``:
+    the plan of delete_docs, delete_where and upsert_docs' shadow delete,
+    which passes the rows its append was planned from."""
     vals = sorted(set(values)) if values is not None else None
     mdir = os.path.join(out_dir, "manifest")
     excl = frozenset(exclude_pids or ())
@@ -2927,7 +2920,7 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
                              vals, lo, hi) \
             and (vals is None or _bloom_admits(row, column, vals))
 
-    def scan(row: dict) -> pa.Table | None:
+    def scan(row: dict) -> int:
         cm = _column_meta(row, column)
         if cm.get("null_count"):
             # nullable column: page spans index the DENSE value
@@ -2955,10 +2948,10 @@ def delete_where(out_dir: str, column: str, values: list | None = None,
                 hit = pc.and_(hit, pc.less_equal(
                     arr, pa.scalar(hi, arr.type)))
         hit = np.asarray(hit.to_numpy(zero_copy_only=False), dtype=bool)
-        return _tombstoned(mdir, row, local_base[hit])
+        return _merge_tombstone(mdir, row, local_base[hit])
 
-    return _deleted_counts(
-        _admitted_scan(out_dir, admits, scan, _DELETED_SCHEMA))
+    counts = list(_admitted_results(rows, admits, scan))
+    return {"partitions": len(counts), "rows_deleted": sum(counts)}
 
 
 def upsert_docs(out_dir: str, new_rows: pa.Table,
@@ -2973,13 +2966,16 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
     (2) ``delete_docs`` tombstones the upserted doc_ids everywhere EXCEPT
     the new partitions. Idempotent: re-running the same upsert after a
     crash at any point converges to the same store. One manifest load
-    plans step (1) and, with ``cfg=None``, answers whether new partitions
-    get a Bloom sidecar (they do when any partition of the main view has
-    one). Input that stages to one fragment encodes in the driver (Ray
-    would run it as a single task), retried up to 3 times on an
-    ``OSError`` like the Ray stage's task retries; larger input runs
-    encode_job's Ray stage. Step (2)'s scan runs in the driver
-    (_admitted_scan). Between steps (1)
+    plans the append and the shadow delete: its main view answers, with
+    ``cfg=None``, whether new partitions get a Bloom sidecar (they do
+    when any partition of the main view has one) and is the row set
+    step (2) prunes (the new partitions it lacks are excluded anyway); a
+    ``cfg.out_dir`` other than ``out_dir`` costs a second load. Input
+    that stages to one fragment encodes in the driver (Ray would run it
+    as a single task), retried up to 3 times on an ``OSError`` like the
+    Ray stage's task retries; larger input runs encode_job's Ray stage.
+    Step (2) runs in the driver and builds no Dataset, so a one-fragment
+    upsert makes no Ray Data call. Between steps (1)
     and (2) a concurrent reader can observe both versions of an updated
     row — the standard anomaly of multi-step commits without a
     transaction log; re-run-to-completion resolves it, and single-writer
@@ -3004,10 +3000,12 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
         pq.write_table(new_rows.cast(TOKENS_SCHEMA), tmp)
         os.replace(tmp, staged)
     frags = plan_fragments(staged)
-    live = _resume_plan(cfg.out_dir if cfg else out_dir, frags)
+    plan_dir = cfg.out_dir if cfg else out_dir
+    live = _resume_plan(plan_dir, frags)
+    # what load_manifest(out_dir) returns, without loading it again
+    main = _main_branch_view(out_dir, live) if plan_dir == out_dir else None
     if cfg is None:
-        has_bloom = any(r.get("bloom")
-                        for r in _main_branch_view(out_dir, live))
+        has_bloom = any(r.get("bloom") for r in main)
         cfg = EncodeConfig(out_dir=out_dir,
                            bloom_bits_per_key=10 if has_bloom else 0)
     _stamp_schema_version(cfg)
@@ -3027,8 +3025,9 @@ def upsert_docs(out_dir: str, new_rows: pa.Table,
             .to_pandas()["pid"]
     new_pids = set(pids)
     keys = [str(k) for k in new_rows.column("doc_id").to_pylist()]
-    deleted = delete_docs(out_dir, keys, concurrency=concurrency,
-                          exclude_pids=new_pids)
+    deleted = _delete_planned(
+        out_dir, load_manifest(out_dir) if main is None else main,
+        "doc_id", keys, exclude_pids=new_pids)
     return {"run_id": run_id, "new_partitions": len(new_pids),
             "rows_upserted": int(new_rows.num_rows),
             "rows_shadowed": deleted["rows_deleted"]}
@@ -3042,7 +3041,8 @@ def merge_docs(out_dir: str, source: pa.Table,
     """``MERGE INTO store USING source ON doc_id`` composed from the
     store's mutation primitives. A source row is *matched* when its
     doc_id is live in the store (decided by the index-grade point lookup:
-    zone maps -> Bloom -> admitted doc_id pages only — never a scan).
+    zone maps -> Bloom -> admitted doc_id pages only — never a scan —
+    run in the driver into a driver table, _lookup_table).
 
     - ``when_matched="update"``  -> matched rows get their new version
       (append-then-shadow, like upsert)
@@ -3055,17 +3055,17 @@ def merge_docs(out_dir: str, source: pa.Table,
     (update, insert) == upsert_docs exactly. The source delta is
     driver-resident by assumption — MERGE sources are incremental
     batches, orders of magnitude smaller than the store; the store side
-    never materializes. Idempotent for the same (store, source) pair:
-    the append stage is content-hash keyed and re-deletes are no-ops.
-    Single-writer discipline as for compaction/delete/upsert."""
+    never materializes. The lookup, the delete arm and an append that
+    stages to one fragment build no Ray Dataset. Idempotent for the same
+    (store, source) pair: the append stage is content-hash keyed and
+    re-deletes are no-ops. Single-writer discipline as for
+    compaction/delete/upsert."""
     if when_matched not in ("update", "delete", "ignore"):
         raise ValueError(f"when_matched={when_matched!r}")
     if when_not_matched not in ("insert", "ignore"):
         raise ValueError(f"when_not_matched={when_not_matched!r}")
     keys = [str(k) for k in source.column("doc_id").to_pylist()]
-    found = lookup_docs(out_dir, keys, concurrency=concurrency) \
-        .to_pandas()
-    matched = set(found["doc_id"]) if len(found) else set()
+    matched = set(_lookup_table(out_dir, keys).column("doc_id").to_pylist())
     is_m = pa.array([k in matched for k in keys])
     m_rows = source.filter(is_m)
     u_rows = source.filter(pc.invert(is_m))
@@ -3097,12 +3097,12 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
                     concurrency: int | None = None):
     """Index range scan: all (doc_id, n_tok) rows with lo <= doc_id <= hi
     (lexicographic — the store's key order), pruned at partition level in
-    the DRIVER by manifest string stats (_admitted_scan) and at page level
-    in the scan by the truncated string zone maps; only admitted doc_id
+    the DRIVER by manifest string stats (_admitted_results) and at page
+    level in the scan by the truncated string zone maps; only admitted doc_id
     pages and the n_tok pages covering their matches are decoded (the
     range analogue of lookup_docs). The scan runs in the driver
-    (_admitted_scan; ``concurrency`` has no effect). Returns a
-    materialized Dataset."""
+    (``concurrency`` has no effect). Returns a materialized Dataset in
+    bounded blocks (_admitted_scan)."""
 
     def admits(row: dict) -> bool:
         return _zone_admits((row.get("stats") or {}).get("doc_id"),

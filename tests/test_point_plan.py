@@ -1,4 +1,4 @@
-"""Driver-planned point reads and deletes (``pipeline._admitted_scan``).
+"""Driver-planned point reads and deletes (``pipeline._admitted_results``).
 
 lookup_docs, range_scan_docs, delete_docs and delete_where prune
 partitions by their manifest zone maps in the driver and hand only the
@@ -6,9 +6,11 @@ admitted manifest rows to their scan, which runs in the driver. These
 tests check each against a filter over decode_job on a store that has a
 Bloom sidecar, a tombstone, an upsert and a snapshot, check which pids
 the scan receives, check that no point op starts a Ray job whatever its
-concurrency, and check that the scan's result reaches the object store
-in bounded blocks.
+concurrency, that no point mutation builds a Ray Dataset, and that a
+reader's result reaches the object store in bounded blocks.
 """
+
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -144,23 +146,17 @@ def test_delete_where_matches_decode_filter(store, pred):
 
 
 def _spy(monkeypatch) -> list:
-    """Replace every scan UDF by one that reports the pids it receives."""
+    """Replace every scan by one that reports the pids it receives and
+    yields nothing, so a spied delete tombstones no row."""
     seen: list = []
-    orig = pipeline._admitted_scan
+    orig = pipeline._admitted_results
 
-    def spy(out_dir, admits, scan, schema, snapshot=None):
-        echo_schema = pa.schema([("pid", pa.string()),
-                                 ("n_deleted", pa.int64())])
+    def spy(rows, admits, scan):
+        pids: list = []
+        yield from orig(rows, admits, lambda row: pids.append(row["pid"]))
+        seen.append(sorted(pids))
 
-        def echo(row: dict) -> pa.Table:
-            return pa.table({"pid": [row["pid"]], "n_deleted": [0]},
-                            schema=echo_schema)
-        ds = orig(out_dir, admits, echo, echo_schema, snapshot)
-        seen.append(sorted(p for t in ray.get(ds.to_arrow_refs())
-                           for p in t.column("pid").to_pylist()))
-        return ds
-
-    monkeypatch.setattr(pipeline, "_admitted_scan", spy)
+    monkeypatch.setattr(pipeline, "_admitted_results", spy)
     return seen
 
 
@@ -307,6 +303,88 @@ def test_point_ops_run_no_job(store, monkeypatch):
                                concurrency=2)["deleted"] == 1
 
 
+def _mutations(out: str, replica: str, snap: str, dec: pa.Table) -> list:
+    """Every point mutation and each mutation composed from them, in one
+    sequence over the store decoded as ``dec``: deletes, a one-fragment
+    upsert, both MERGE arms, a CDC replication into ``replica`` (the
+    store's state at ``snap``) and a rollback to ``snap``."""
+    keys = _keys(dec)
+    vals = sorted({int(v) for v in dec.column("n_tok").to_pylist()[::37]})
+    res = [pipeline.delete_docs(out, keys[:2] + [keys[-1]]),
+           pipeline.delete_where(out, "n_tok", lo=300, hi=330),
+           pipeline.delete_where(out, "n_tok", values=vals)]
+    new = fixtures.tokens_table(2, seed=27).set_column(
+        0, "doc_id", pa.array([keys[2], "doc-000000666666"], pa.string()))
+    res.append(pipeline.upsert_docs(out, new))
+    src = fixtures.tokens_table(2, seed=28).set_column(
+        0, "doc_id", pa.array([keys[3], "doc-000000777777"], pa.string()))
+    res.append(pipeline.merge_docs(out, src))
+    gone = fixtures.tokens_table(1, seed=29).set_column(
+        0, "doc_id", pa.array([keys[4]], pa.string()))
+    res.append(pipeline.merge_docs(out, gone, when_matched="delete"))
+    res.append(pipeline.replicate_cdc(out, replica, snap))
+    res.append(pipeline.rollback_to_snapshot(out, snap))
+    return res
+
+
+def test_point_mutations_build_no_dataset(tmp_path, ray_session,
+                                          monkeypatch):
+    """With ray.put and ray.data.from_arrow_refs raising, every point
+    mutation still returns what it returns with them, and leaves the
+    same stores. cdc_scan, a Ray Data job by design, runs with them
+    before replication and rollback use its delta."""
+    runs = {}
+    for name in ("free", "guarded"):
+        (tmp_path / name).mkdir()
+        out, _snap = _build(tmp_path / name)
+        replica = str(tmp_path / name / "replica")
+        shutil.copytree(out, replica)
+        snap = pipeline.create_snapshot(out)["snapshot"]
+        dec = _decoded(out)
+        if name == "guarded":
+            armed = [True]
+
+            def raising(what, orig):
+                def call(*a, **k):
+                    if armed[0]:
+                        raise AssertionError(f"a point mutation called {what}")
+                    return orig(*a, **k)
+                return call
+
+            monkeypatch.setattr(ray, "put", raising("ray.put", ray.put))
+            monkeypatch.setattr(ray.data, "from_arrow_refs", raising(
+                "from_arrow_refs", ray.data.from_arrow_refs))
+            cdc_scan = pipeline.cdc_scan
+
+            class Delta:
+                def __init__(self, *a, **k):
+                    armed[0] = False
+                    try:
+                        self.df = cdc_scan(*a, **k).to_pandas()
+                    finally:
+                        armed[0] = True
+
+                def to_pandas(self):
+                    return self.df
+
+            monkeypatch.setattr(pipeline, "cdc_scan", Delta)
+            with pytest.raises(AssertionError, match="point mutation"):
+                pipeline.lookup_docs(out, ["doc-000000000005"])
+        res = _mutations(out, replica, snap, dec)
+        monkeypatch.undo()
+        runs[name] = (res, _by_doc(_decoded(out), ["n_tok", "tokens"]),
+                      _by_doc(_decoded(replica), ["n_tok", "tokens"]))
+    assert runs["guarded"] == runs["free"]
+    res = runs["free"][0]
+    assert res[0]["rows_deleted"] == 2
+    assert res[1]["rows_deleted"] > 0 and res[2]["rows_deleted"] > 0
+    assert res[3]["rows_shadowed"] == 1
+    assert (res[4]["matched"], res[4]["updated"], res[4]["inserted"]) == \
+        (1, 1, 1)
+    assert (res[5]["matched"], res[5]["deleted"]) == (1, 1)
+    assert res[6]["delta_rows"] > 0 and res[7]["delta_rows"] > 0
+
+
 def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
     """The driver puts the scan's rows into the object store in blocks of
     at most Ray Data's target block size plus one partition's rows:
@@ -322,17 +400,17 @@ def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
                       np.asarray(dec.column("n_tok").to_pylist())[keep]
                       .tolist()))
     yielded: list = []
-    orig = pipeline._admitted_scan
+    orig = pipeline._admitted_results
 
-    def recording(out_dir, admits, scan, schema, snapshot=None):
+    def recording(rows, admits, scan):
         def rec(row: dict) -> pa.Table | None:
             got = scan(row)
             if got is not None and got.num_rows:
                 yielded.append(row["pid"])
             return got
-        return orig(out_dir, admits, rec, schema, snapshot)
+        return orig(rows, admits, rec)
 
-    monkeypatch.setattr(pipeline, "_admitted_scan", recording)
+    monkeypatch.setattr(pipeline, "_admitted_results", recording)
     ctx = DataContext.get_current()
     for target in (None, 1):
         if target is not None:

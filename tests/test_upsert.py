@@ -143,8 +143,8 @@ def test_upsert_bloom_follows_the_store(tmp_path, ray_session, monkeypatch,
     """With cfg=None an upsert's new partition gets a Bloom sidecar when
     the store's main view has one and none otherwise (Bloom partitions
     that sit only on an unmerged branch do not count), and the answer
-    comes from the manifest load that plans the encode: one load for the
-    append, one for the shadow delete."""
+    comes from the one manifest load that plans both the append and the
+    shadow delete."""
     path = fixtures.tokens_parquet(200, seed=38,
                                    cache_dir=str(tmp_path / "tok"),
                                    row_group_size=100)
@@ -175,7 +175,7 @@ def test_upsert_bloom_follows_the_store(tmp_path, ray_session, monkeypatch,
     monkeypatch.setattr(pipeline, "load_manifest", counting)
     res = pipeline.upsert_docs(out, _rows(UPDATED[:1] + INSERTED[:1]))
     monkeypatch.undo()
-    assert len(loads) == 2
+    assert len(loads) == 1
     assert res["new_partitions"] == 1 and res["rows_shadowed"] == 1
     new = [r for r in pipeline.load_manifest(out)
            if r["pid"].startswith("upsert-")]

@@ -198,6 +198,40 @@ def test_late_materialized_sum_prunes_all_null_partition(shared_store,
     assert res["sum_val"] == sum(dec[d]["n_tok"] for d in want)
 
 
+@pytest.mark.parametrize("column,op,value,value2",
+                         [p for p in PREDICATES if p[1] != "isnull"])
+def test_late_materialized_sum_matches_decode_filter(shared_store, column,
+                                                     op, value, value2):
+    """A nullable predicate column is read with its validity: NULL
+    matches nothing, and a partition holding NULLs is scanned, not
+    refused."""
+    dec = _decoded(shared_store)
+    want = _matches(dec, column, op, value, value2)
+    res = pipeline.late_materialized_sum(
+        shared_store, column, value, "n_tok",
+        pred_between=(value, value2) if op == "between" else None).iloc[0]
+    assert res["n_rows"] == len(want) > 0
+    assert res["sum_val"] == sum(dec[d]["n_tok"] for d in want)
+
+
+def test_late_materialized_sum_pruned_partition_costs_no_io(store):
+    """The value pages and bytes of every partition are counted from the
+    manifest, so a partition the zone map prunes is never opened: the
+    totals stay the same with its file gone."""
+    rows = pipeline.load_manifest(store)
+    pruned = [r for r in rows if r["stats"]["grade"]["min"] is None]
+    assert len(pruned) == 1
+    before = pipeline.late_materialized_sum(store, "grade", 7, "n_tok") \
+        .iloc[0].to_dict()
+    assert before["pages_total"] == sum(
+        len(pipeline.read_column_skeleton(r, "n_tok").pages) for r in rows)
+    assert before["bytes_total"] == sum(
+        pipeline._column_meta(r, "n_tok")["length"] for r in rows)
+    os.remove(pruned[0]["file"])
+    assert pipeline.late_materialized_sum(store, "grade", 7, "n_tok") \
+        .iloc[0].to_dict() == before
+
+
 @pytest.mark.parametrize("column,descending,k", [
     ("rank", False, 10), ("rank", False, 150),
     ("bonus", True, 10), ("bonus", True, 150),
@@ -271,3 +305,12 @@ def test_one_zone_map_writer_rule_and_bloom_probe():
     # format.py's per-page stats are the other min/max index
     assert _callers("min_max") == {("pipeline.py", "zone_map"),
                                    ("format.py", "page_value_stats")}
+
+
+def test_dataset_wrap_only_behind_public_point_readers():
+    """Of the point plans only lookup_docs and range_scan_docs wrap their
+    results in a Ray Dataset (_admitted_scan); deletes, upserts and the
+    internal lookups take driver results (_admitted_results)."""
+    assert _callers("_admitted_scan") == {("pipeline.py", "lookup_docs"),
+                                          ("pipeline.py", "range_scan_docs")}
+    assert _callers("from_arrow_refs") == {("pipeline.py", "_admitted_scan")}
