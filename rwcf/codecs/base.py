@@ -69,14 +69,33 @@ def bit_width(max_val: int) -> int:
     return int(max_val).bit_length()
 
 
-def pack_bits(vals: np.ndarray, width: int) -> np.ndarray:
-    """LSB-first fixed-width packing into bytes.
+#: widths whose LSB-first packing is a plain little-endian integer array
+_WORD = {8: np.dtype("<u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4"),
+         64: np.dtype("<u8")}
 
-    Group-reshape scheme: 8 consecutive values occupy exactly ``width``
-    output bytes, so each output byte column is a fixed shift/or combination
-    of at most 3 value columns — sequential vectorized writes, no scattered
-    ``ufunc.at``, and uint32 arithmetic when the width allows (halves memory
-    traffic for token-sized ints)."""
+
+def pack_bits(vals: np.ndarray, width: int) -> np.ndarray:
+    """LSB-first fixed-width packing into bytes; keeps the low ``width``
+    bits of each value and returns a new array.
+
+    At a whole-word width (8/16/32/64) LSB-first packing puts value ``i``
+    in bytes ``[i*width/8, (i+1)*width/8)``, low byte first: a
+    little-endian cast, one ``astype`` pass at memory speed (the 16-bit
+    token streams of a 50k vocabulary take this path). Every other width
+    goes through :func:`_pack_shift`, which gives the same bytes at any
+    width."""
+    word = _WORD.get(width)
+    if word is None:
+        return _pack_shift(vals, width)
+    return np.ascontiguousarray(vals).astype(word).view(np.uint8)
+
+
+def _pack_shift(vals: np.ndarray, width: int) -> np.ndarray:
+    """The shift loop behind :func:`pack_bits`. Group-reshape scheme: 8
+    consecutive values occupy exactly ``width`` output bytes, so each
+    output byte column is a fixed shift/or combination of at most 3 value
+    columns — sequential vectorized writes, no scattered ``ufunc.at``,
+    and uint32 arithmetic when the width allows."""
     n = vals.size
     if width == 0 or n == 0:
         return np.empty(0, dtype=np.uint8)
@@ -100,10 +119,32 @@ def pack_bits(vals: np.ndarray, width: int) -> np.ndarray:
     return out.reshape(-1)[: (n * width + 7) // 8]
 
 
+def packed_words(buf: np.ndarray, width: int, n: int) -> np.ndarray | None:
+    """The ``n`` values packed in ``buf`` as a little-endian word view of
+    ``buf`` itself (no copy; read-only when ``buf`` is), or None when
+    ``width`` is not a whole word or ``buf`` is shorter than ``n`` values.
+    For decoders that write the values straight into their own output."""
+    word = _WORD.get(width)
+    if word is None or buf.size < n * word.itemsize:
+        return None
+    return np.ascontiguousarray(buf[:n * word.itemsize]).view(word)
+
+
 def unpack_bits(buf: np.ndarray, width: int, n: int,
                 out_dtype=np.uint64) -> np.ndarray:
     """Inverse of :func:`pack_bits`; ``out_dtype`` avoids widening copies
-    when the caller works in a narrow native dtype."""
+    when the caller works in a narrow native dtype. Bytes missing from a
+    short ``buf`` read as zero bits. Always returns a new, writable
+    array, never a view of ``buf``."""
+    words = packed_words(buf, width, n)
+    if words is None:
+        return _unpack_shift(buf, width, n, out_dtype)
+    return words.astype(out_dtype)
+
+
+def _unpack_shift(buf: np.ndarray, width: int, n: int,
+                  out_dtype=np.uint64) -> np.ndarray:
+    """The shift loop behind :func:`unpack_bits`, for any width."""
     if width == 0:
         return np.zeros(n, dtype=out_dtype)
     dt = np.uint32 if width <= 24 else np.uint64

@@ -148,13 +148,13 @@ def _runs_str(lengths: np.ndarray, payload: np.ndarray):
         L = lengths[cand]
         a = _gather_segments(payload, offsets[cand], L)
         b = _gather_segments(payload, offsets[cand + 1], L)
-        if L.sum():
-            seg_ids = np.repeat(np.arange(cand.size), L)
-            diff = a != b
-            pair_diff = np.zeros(cand.size, dtype=bool)
-            np.logical_or.at(pair_diff, seg_ids, diff)
-        else:
-            pair_diff = np.zeros(cand.size, dtype=bool)
+        # a pair differs when any of its bytes does; zero-length pairs
+        # are equal (reduceat would read a neighbour's byte for them)
+        pair_diff = np.zeros(cand.size, dtype=bool)
+        nz = L > 0
+        if nz.any():
+            seg_starts = np.cumsum(L) - L
+            pair_diff[nz] = np.logical_or.reduceat(a != b, seg_starts[nz])
         neq[cand] = pair_diff
     change = np.flatnonzero(neq) + 1
     starts = np.concatenate(([0], change)).astype(np.int64)

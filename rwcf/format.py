@@ -213,21 +213,21 @@ def chunk_len(chunk, dtype: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _pages_to_bincode(pages: list[PageInfo], with_lengths: bool) -> bytes:
-    parts = [varint.encode_uvarint(np.array([len(pages)], dtype=np.uint64))]
+    """uvarint(page count), then per page the reference field order
+    file_offset (svarint), values_count, encoded_values_count
+    (src/lib.rs:68-73), plus byte_length in v1 footers — one uvarint
+    encode over a pages x fields matrix, the offsets zigzagged first."""
+    n_fields = 4 if with_lengths else 3
+    vals = np.empty(1 + len(pages) * n_fields, dtype=np.uint64)
+    vals[0] = len(pages)
     if pages:
-        offs = np.array([p.file_offset for p in pages], dtype=np.int64)
-        vc = np.array([p.values_count for p in pages], dtype=np.uint64)
-        ec = np.array([p.encoded_values_count for p in pages], dtype=np.uint64)
-        # reference field order: file_offset, values_count, encoded_values_count
-        # (src/lib.rs:68-73) — interleaved per page
-        fields = [varint.encode_svarint(offs[i:i + 1]).tobytes()
-                  + varint.encode_uvarint(vc[i:i + 1]).tobytes()
-                  + varint.encode_uvarint(ec[i:i + 1]).tobytes()
-                  + (varint.encode_uvarint(np.array([p.byte_length], dtype=np.uint64)).tobytes()
-                     if with_lengths else b"")
-                  for i, p in enumerate(pages)]
-        parts.append(np.frombuffer(b"".join(fields), dtype=np.uint8))
-    return b"".join(p.tobytes() for p in parts)
+        m = vals[1:].reshape(len(pages), n_fields)
+        m[:, 0] = varint.zigzag(np.array([p.file_offset for p in pages],
+                                         dtype=np.int64))
+        m[:, 1:] = np.array([(p.values_count, p.encoded_values_count,
+                              p.byte_length)[:n_fields - 1] for p in pages],
+                            dtype=np.uint64)
+    return varint.encode_uvarint(vals).tobytes()
 
 
 class _Reader:
@@ -296,7 +296,8 @@ def write_column_file(enc: EncodedColumn, reference_mode: bool = False) -> bytes
         footer = footer_bytes_reference(enc.dtype, enc.codec == "rle", enc.pages)
     else:
         footer = footer_bytes_v1(enc)
-    return enc.payload.tobytes() + footer + len(footer).to_bytes(8, "little")
+    return b"".join((np.ascontiguousarray(enc.payload), footer,
+                     len(footer).to_bytes(8, "little")))
 
 
 def _parse_footer_fields(buf: np.ndarray, pos: int):

@@ -216,11 +216,12 @@ def _compress_frames(blob: bytes, enc: "fmt.EncodedColumn"):
     payload_len = int(enc.payload.size)
     spans = [(p.file_offset, p.byte_length) for p in enc.pages]
     spans.append((payload_len, len(blob) - payload_len))  # trailer
+    view = memoryview(blob)
     parts: list[bytes] = []
     frames: list[list[int]] = []
     off = 0
     for s, ln in spans:
-        comp = codec.compress(blob[s:s + ln], asbytes=True)
+        comp = codec.compress(view[s:s + ln], asbytes=True)
         frames.append([off, len(comp), ln, zlib.crc32(comp)])
         parts.append(comp)
         off += len(comp)
@@ -2687,7 +2688,7 @@ def lookup_docs(out_dir: str, keys: list[str],
     immutable partition files plus the snapshot's pid/tombstone view
     make historical point reads free (rollback_to_snapshot's payload
     source)."""
-    return _admitted_scan(out_dir, *_lookup_plan(keys), _LOOKUP_SCHEMA,
+    return _admitted_scan(out_dir, *_lookup_scan(keys), _LOOKUP_SCHEMA,
                           snapshot)
 
 
@@ -2695,13 +2696,30 @@ def _lookup_table(out_dir: str, keys: list[str],
                   snapshot: str | None = None) -> pa.Table:
     """lookup_docs' rows as one driver table of ``_LOOKUP_SCHEMA``, with
     no Dataset built: the input of the mutations that read stored
-    payloads (merge_docs, replicate_cdc, rollback_to_snapshot)."""
+    payloads (replicate_cdc, rollback_to_snapshot)."""
     return pa.concat_tables([_LOOKUP_SCHEMA.empty_table(), *_admitted_results(
-        load_manifest(out_dir, snapshot=snapshot), *_lookup_plan(keys))])
+        load_manifest(out_dir, snapshot=snapshot), *_lookup_scan(keys))])
+
+
+def _live_doc_ids(out_dir: str, keys: list[str]) -> set[str]:
+    """The ``keys`` that are live doc_ids of the store: lookup_docs'
+    admission (zone maps, Bloom), doc_id page reads and tombstones, with
+    no n_tok or token read — merge_docs' match test."""
+    admits, hits = _lookup_plan(keys)
+
+    def scan(row: dict) -> list[str] | None:
+        got = hits(row)
+        return got and got[0].to_pylist()
+
+    return {k for ids in _admitted_results(load_manifest(out_dir), admits,
+                                           scan) for k in ids}
 
 
 def _lookup_plan(keys: list[str]):
-    """lookup_docs' ``(admits, scan)`` pair for _admitted_results."""
+    """The doc_id half of lookup_docs' plan: ``(admits, hits)``, the
+    partition admission for _admitted_results and ``hits(row)``, which
+    reads an admitted partition's doc_id pages and returns its live hits
+    as ``(doc_ids, partition-local rows)``, or None."""
     keys = sorted(set(str(k) for k in keys))
     probe_arr = pa.array(keys, pa.string())
 
@@ -2709,7 +2727,7 @@ def _lookup_plan(keys: list[str]):
         return _zone_admits((row.get("stats") or {}).get("doc_id"), keys) \
             and _bloom_admits(row, "doc_id", keys)
 
-    def scan(row: dict) -> pa.Table | None:
+    def hits(row: dict):
         got = _read_admitted_pages(row, _column_meta(row, "doc_id"), keys)
         if got is None:
             return None
@@ -2725,6 +2743,21 @@ def _lookup_plan(keys: list[str]):
             hit_idx = hit_idx[alive]
         if not hit_idx.size:
             return None
+        return ids.take(pa.array(hit_idx)), hit_rows
+
+    return admits, hits
+
+
+def _lookup_scan(keys: list[str]):
+    """lookup_docs' ``(admits, scan)`` pair for _admitted_results: the
+    live hits of _lookup_plan with their token lists."""
+    admits, hits = _lookup_plan(keys)
+
+    def scan(row: dict) -> pa.Table | None:
+        got = hits(row)
+        if got is None:
+            return None
+        hit_ids, hit_rows = got
         n_tok = np.asarray(
             fmt.decode_chunk(read_column_section(row, "n_tok")),
             dtype=np.int64)
@@ -2760,8 +2793,7 @@ def _lookup_plan(keys: list[str]):
         la = pa.LargeListArray.from_arrays(
             offsets, pa.array(np.concatenate(toks), pa.int32())) \
             .cast(pa.list_(pa.int32()))
-        return pa.table({"doc_id": ids.take(pa.array(hit_idx)),
-                         "tokens": la})
+        return pa.table({"doc_id": hit_ids, "tokens": la})
 
     return admits, scan
 
@@ -3040,9 +3072,10 @@ def merge_docs(out_dir: str, source: pa.Table,
                concurrency: int | None = None) -> dict:
     """``MERGE INTO store USING source ON doc_id`` composed from the
     store's mutation primitives. A source row is *matched* when its
-    doc_id is live in the store (decided by the index-grade point lookup:
-    zone maps -> Bloom -> admitted doc_id pages only — never a scan —
-    run in the driver into a driver table, _lookup_table).
+    doc_id is live in the store (decided by lookup_docs' index-grade
+    admission: zone maps -> Bloom -> admitted doc_id pages and tombstones
+    only — never a scan, and no n_tok or token read — run in the driver,
+    _live_doc_ids).
 
     - ``when_matched="update"``  -> matched rows get their new version
       (append-then-shadow, like upsert)
@@ -3065,7 +3098,7 @@ def merge_docs(out_dir: str, source: pa.Table,
     if when_not_matched not in ("insert", "ignore"):
         raise ValueError(f"when_not_matched={when_not_matched!r}")
     keys = [str(k) for k in source.column("doc_id").to_pylist()]
-    matched = set(_lookup_table(out_dir, keys).column("doc_id").to_pylist())
+    matched = _live_doc_ids(out_dir, keys)
     is_m = pa.array([k in matched for k in keys])
     m_rows = source.filter(is_m)
     u_rows = source.filter(pc.invert(is_m))

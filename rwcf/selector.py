@@ -18,13 +18,19 @@ when it can still win: one code byte stands in for at most 8 payload bytes,
 so when zstd alone already compresses the plain sample by ``_FSST_CEILING``
 or more, FSST training is skipped. With ``transport=None`` the ranking is
 the pre-transport estimate, as direct callers have always had it.
+
+When the chunk is no longer than ``_SAMPLE_VALUES`` the sample is the whole
+chunk, so the winning finalist's sample encode already is the chunk's
+encode: ``Choice.encoded`` keeps it and :func:`encode_auto` stores it
+instead of encoding the chunk a second time (every doc_id, n_tok and
+source section of a 1000-row partition).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
@@ -54,6 +60,9 @@ class Choice:
     stored: dict[str, float] | None = None
     #: wall time spent choosing
     select_ms: float = 0.0
+    #: the chosen codec's ``(meta, payload, pages)`` encode of the whole
+    #: chunk, when the stored-bytes ranking made it (sample == chunk)
+    encoded: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _sample_slices(n: int, total_sample: int = _SAMPLE_VALUES,
@@ -97,10 +106,12 @@ def _size_units(chunk, dtype: str) -> int:
 
 
 def _zstd_sample(sample, dtype: str, cid: str, page_target: int):
-    """(zstd-1 bytes of the sample's payload plus meta, raw payload bytes)."""
-    meta, payload, _pages = REGISTRY[cid].encode(sample, dtype, page_target)
+    """(zstd-1 bytes of the sample's payload plus meta, raw payload bytes,
+    the codec's ``(meta, payload, pages)`` encode of the sample)."""
+    encoded = REGISTRY[cid].encode(sample, dtype, page_target)
+    meta, payload, _pages = encoded
     z = pa.Codec("zstd", compression_level=1).compress(payload, asbytes=True)
-    return len(z) + len(meta), int(payload.size)
+    return len(z) + len(meta), int(payload.size), encoded
 
 
 def choose_codec(chunk, dtype: str,
@@ -131,35 +142,46 @@ def choose_codec(chunk, dtype: str,
     scale = (max(1, _size_units(chunk, dtype))
              / max(1, _size_units(sample, dtype)))
     framed = {}
+    encodes = {}
     fsst_can_win = True
     for cid in finalists:
-        z, raw = _zstd_sample(sample, dtype, cid, page_target)
+        z, raw, encodes[cid] = _zstd_sample(sample, dtype, cid, page_target)
         framed[cid] = z * scale
         if cid == "plain":
             fsst_can_win = raw / max(1, z) < _FSST_CEILING
     if "fsst" in ids and fsst_can_win:
         # trains the symbol table once; the sample encode and the chunk
-        # encode below reuse it through the codec's memo
+        # encode reuse it through the codec's memo
         estimates["fsst"] = REGISTRY["fsst"].estimate_size(
             sample, dtype, n_total, payload_total)
         if math.isfinite(estimates["fsst"]):
-            framed["fsst"] = _zstd_sample(sample, dtype, "fsst",
-                                          page_target)[0] * scale
+            z, _raw, encodes["fsst"] = _zstd_sample(sample, dtype, "fsst",
+                                                    page_target)
+            framed["fsst"] = z * scale
     if not framed:  # every candidate bowed out on this data
         best = min(estimates, key=lambda c: (estimates[c], c))
         framed[best] = math.inf
     best = min(framed, key=lambda c: (framed[c], c))
+    whole = len(_sample_slices(n_total)) == 1
     return Choice(codec=best, estimate=int(framed[best])
                   if math.isfinite(framed[best]) else -1,
                   estimates=estimates, stored=framed,
-                  select_ms=(time.perf_counter() - t0) * 1e3)
+                  select_ms=(time.perf_counter() - t0) * 1e3,
+                  encoded=encodes.get(best) if whole else None)
 
 
 def encode_auto(chunk, dtype: str, page_target: int = fmt.ENGINE_PAGE_SIZE,
                 candidates: list[str] | None = None,
                 transport: str | None = None):
     """Select + encode; returns (EncodedColumn, Choice). ``transport`` is
-    the section transport the encoded bytes will be stored under."""
+    the section transport the encoded bytes will be stored under. A
+    whole-chunk sample encode the selector made (``Choice.encoded``) is
+    stored as it is, byte-identical to encoding the chunk again."""
     choice = choose_codec(chunk, dtype, candidates, transport, page_target)
-    enc = fmt.encode_chunk(chunk, dtype, choice.codec, page_target)
-    return enc, choice
+    if choice.encoded is None:
+        return fmt.encode_chunk(chunk, dtype, choice.codec, page_target), \
+            choice
+    meta, payload, pages = choice.encoded
+    return fmt.EncodedColumn(dtype=dtype, codec=choice.codec, meta=meta,
+                             pages=pages, payload=payload,
+                             n_values=fmt.chunk_len(chunk, dtype)), choice

@@ -6,8 +6,9 @@ admitted manifest rows to their scan, which runs in the driver. These
 tests check each against a filter over decode_job on a store that has a
 Bloom sidecar, a tombstone, an upsert and a snapshot, check which pids
 the scan receives, check that no point op starts a Ray job whatever its
-concurrency, that no point mutation builds a Ray Dataset, and that a
-reader's result reaches the object store in bounded blocks.
+concurrency, that no point mutation builds a Ray Dataset, that merge_docs
+matches on doc_id pages alone, and that a reader's result reaches the
+object store in bounded blocks.
 """
 
 import shutil
@@ -383,6 +384,50 @@ def test_point_mutations_build_no_dataset(tmp_path, ray_session,
         (1, 1, 1)
     assert (res[5]["matched"], res[5]["deleted"]) == (1, 1)
     assert res[6]["delta_rows"] > 0 and res[7]["delta_rows"] > 0
+
+
+def test_merge_matches_on_doc_id_pages_only(tmp_path, ray_session,
+                                           monkeypatch):
+    """merge_docs decides its matches from doc_id pages alone (same
+    admission, Bloom probe and tombstones as lookup_docs) and returns
+    the stats, and leaves the store, that a match through a full point
+    lookup does. Counted per column: every read of the match, and the
+    n_tok and token pages the lookup would also have read."""
+    runs = {}
+    for name in ("lookup", "doc_ids"):
+        (tmp_path / name).mkdir()
+        out, _snap = _build(tmp_path / name)
+        keys = _keys(_decoded(out))
+        src = fixtures.tokens_table(len(keys), seed=30).set_column(
+            0, "doc_id", pa.array(keys, pa.string()))
+        if name == "lookup":
+            monkeypatch.setattr(pipeline, "_live_doc_ids", lambda o, k: set(
+                pipeline._lookup_table(o, k).column("doc_id").to_pylist()))
+        reads: dict = {}
+
+        def counted(fn):
+            def call(row, column, *a, **k):
+                reads[column] = reads.get(column, 0) + 1
+                return fn(row, column, *a, **k)
+            return call
+
+        for fn in ("read_column_pages", "read_column_section",
+                   "read_column_skeleton"):
+            monkeypatch.setattr(pipeline, fn, counted(getattr(pipeline, fn)))
+        probe = pipeline.merge_docs(out, src, when_matched="ignore",
+                                    when_not_matched="ignore")
+        match_reads = dict(reads)
+        monkeypatch.undo()
+        res = pipeline.merge_docs(out, src)
+        runs[name] = (probe, match_reads, res,
+                      _by_doc(_decoded(out), ["n_tok", "tokens"]))
+    (probe, lookup_reads, res, store), (probe2, reads, res2, store2) = \
+        runs["lookup"], runs["doc_ids"]
+    assert probe == probe2 and res == res2 and store == store2
+    assert (probe["matched"], probe["not_matched"]) == (5, 3)
+    assert set(lookup_reads) == {"doc_id", "n_tok", "tokens"}
+    assert set(reads) == {"doc_id"}
+    assert reads["doc_id"] == lookup_reads["doc_id"]
 
 
 def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
