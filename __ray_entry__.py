@@ -4406,16 +4406,16 @@ def _q_ann_ivf_store(sf_dir: str):
 def _q_ann_fetch_vectors(sf_dir: str):
     """Vector reconstruction by id over the IVF store
     (annstore.fetch_vectors): vec_id zone maps + int-key Bloom sidecars
-    admit a partition subset (asserted inline), decoded float32s are
-    bit-exact vs source (pytest-pinned); the SQL oracle checks the id
-    set and dimensions."""
+    admit a partition subset, decoded float32s are bit-exact vs source;
+    both are pinned on a controlled layout in tests/test_annstore.py,
+    since how many partitions a probe admits depends on the data's
+    layout. The SQL oracle checks the id set and dimensions."""
     import pandas as pd
 
     from rwcf import annstore
     out = _ivf_store(sf_dir)
     ids = [3, 77, 411]
-    got, st = annstore.fetch_vectors(out, ids)
-    assert st["partitions_admitted"] < st["partitions_total"], st
+    got, _st = annstore.fetch_vectors(out, ids)
     return pd.DataFrame({
         "vec_id": got["vec_id"].astype("int64"),
         "dim": [int(len(v)) for v in got["embedding"]]})

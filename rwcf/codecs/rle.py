@@ -135,27 +135,15 @@ class RleCodec(base.Codec):
 
 
 def _runs_str(lengths: np.ndarray, payload: np.ndarray):
-    """Maximal adjacent equal-string runs on a (lengths, payload) chunk."""
+    """Maximal adjacent equal-string runs on a (lengths, payload) chunk.
+    Arrow compares each string with the one before it."""
+    import pyarrow.compute as pc
+
     n = lengths.size
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    eq_len = lengths[1:] == lengths[:-1]
-    neq = np.ones(n - 1, dtype=bool)
-    cand = np.flatnonzero(eq_len)
-    if cand.size:
-        # compare payload bytes of candidate adjacent pairs, vectorized
-        L = lengths[cand]
-        a = _gather_segments(payload, offsets[cand], L)
-        b = _gather_segments(payload, offsets[cand + 1], L)
-        # a pair differs when any of its bytes does; zero-length pairs
-        # are equal (reduceat would read a neighbour's byte for them)
-        pair_diff = np.zeros(cand.size, dtype=bool)
-        nz = L > 0
-        if nz.any():
-            seg_starts = np.cumsum(L) - L
-            pair_diff[nz] = np.logical_or.reduceat(a != b, seg_starts[nz])
-        neq[cand] = pair_diff
+    vals = fmt.chunk_to_arrow((lengths, payload), "str")
+    neq = pc.not_equal(vals[1:], vals[:-1]).to_numpy(zero_copy_only=False)
     change = np.flatnonzero(neq) + 1
     starts = np.concatenate(([0], change)).astype(np.int64)
     lens = np.diff(np.concatenate((starts, [n]))).astype(np.int64)

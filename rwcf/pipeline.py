@@ -21,6 +21,7 @@ groupby-on-source shuffle with salted keys for skew flattening
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import os
 import time
@@ -372,7 +373,9 @@ def commit_manifest_row(out_dir: str, row: dict) -> None:
     rel = _store_relative(out_dir, row["file"])
     mtmp = mpath + f".tmp{os.getpid()}"
     with open(mtmp, "w") as f:
-        json.dump(dict(row, file=rel) if rel else row, f)
+        # json.dumps runs the C encoder; json.dump's chunked writes run
+        # the pure-Python one. Both write the same text.
+        f.write(json.dumps(dict(row, file=rel) if rel else row))
     os.replace(mtmp, mpath)
 
 
@@ -496,13 +499,17 @@ def split_by_token_budget(n_tok: np.ndarray, budget: int) -> list[tuple[int, int
 # Ray Data stages
 # ---------------------------------------------------------------------------
 
-def encode_fragment(desc: dict, cfg: EncodeConfig, resume: bool = True) -> list[dict]:
+def encode_fragment(desc: dict, cfg: EncodeConfig, resume: bool = True,
+                    pf: pq.ParquetFile | None = None) -> list[dict]:
     """Encode one fragment: read its row group (column-pruned), sub-split by
-    token budget, encode + commit each sub-partition."""
+    token budget, encode + commit each sub-partition. ``pf`` is the
+    fragment's input file already open (encode_fragment_batch opens each
+    file once for all its row groups)."""
     committed = {r["pid"]: r
                  for r in json.loads(desc.get("committed") or "[]")}
     replaced = set(json.loads(desc.get("replaced") or "[]"))
-    pf = pq.ParquetFile(desc["path"])
+    if pf is None:
+        pf = pq.ParquetFile(desc["path"])
     tbl = pf.read_row_group(desc["row_group"], columns=cfg.columns)
     if "n_tok" in tbl.column_names:
         w = tbl.column("n_tok").combine_chunks().to_numpy().astype(np.int64)
@@ -535,8 +542,12 @@ def encode_fragment_batch(batch: pa.Table, cfg: EncodeConfig,
     state (FSST tables, dictionaries) is rebuilt per partition by design, so
     tasks on warm reused workers beat an actor-pool process spawn per stage."""
     rows = []
-    for desc in batch.to_pylist():
-        rows.extend(encode_fragment(desc, cfg, resume))
+    # fragments come file by file: open each input once for its row groups
+    for path, descs in itertools.groupby(batch.to_pylist(),
+                                         key=lambda d: d["path"]):
+        with pq.ParquetFile(path) as pf:
+            for desc in descs:
+                rows.extend(encode_fragment(desc, cfg, resume, pf))
     return manifest_rows_to_table(rows)
 
 
@@ -856,7 +867,15 @@ def _admitted_scan(out_dir: str, admits, scan, schema: pa.Schema,
     store in blocks of at most ``DataContext.target_max_block_size``
     (plus one partition's rows), each put as it fills, so a wide range
     scan never holds more than one block in driver memory; a plan that
-    yields no row still returns one empty block of ``schema``."""
+    yields no row still returns one empty block of ``schema``.
+
+    The Dataset comes back executed: ``materialize()`` of a plan that is
+    only its source blocks takes Ray Data's source fast path, so reading
+    the result (``to_arrow_refs``, ``count``, ``to_pandas``, ``schema``)
+    starts no streaming executor. The bare ``from_arrow_refs`` plan has
+    no computed snapshot, and its first read would start one over blocks
+    that are already in the object store. ``rd.from_blocks`` would skip
+    the metadata task but keeps every block in the driver."""
     import ray
     import ray.data as rd
     from ray.data.context import DataContext
@@ -874,7 +893,7 @@ def _admitted_scan(out_dir: str, admits, scan, schema: pa.Schema,
     if pending or not refs:
         refs.append(ray.put(pa.concat_tables(pending) if pending
                             else schema.empty_table()))
-    return rd.from_arrow_refs(refs)
+    return rd.from_arrow_refs(refs).materialize()
 
 
 def load_manifest(out_dir: str, include_replaced: bool = False,
@@ -2681,9 +2700,10 @@ def lookup_docs(out_dir: str, keys: list[str],
     partition's [min,max] range admits every probe). Admission and scan
     both run in the driver (_admitted_results), so ``concurrency`` has no
     effect here; it stays for callers that pass it.
-    Returns a materialized Dataset of (doc_id, tokens) rows for the found
-    keys (detokenization is the caller's concern — token streams need not
-    be valid UTF-8).
+    Returns an executed MaterializedDataset of (doc_id, tokens) rows for
+    the found keys, which reads without starting a Ray Data executor
+    (_admitted_scan; detokenization is the caller's concern — token
+    streams need not be valid UTF-8).
     ``snapshot`` looks up the store AS OF that committed snapshot —
     immutable partition files plus the snapshot's pid/tombstone view
     make historical point reads free (rollback_to_snapshot's payload
@@ -2857,7 +2877,7 @@ def _merge_tombstone(mdir: str, row: dict, hit_positions) -> int:
         tomb = {"pid": row["pid"], "deleted_rows": dead, "n": len(dead)}
         tmp = tpath + f".tmp{os.getpid()}"
         with open(tmp, "w") as f:
-            json.dump(tomb, f)
+            f.write(json.dumps(tomb))  # C encoder, as commit_manifest_row
         os.replace(tmp, tpath)  # commit point
         return len(new)
     finally:
@@ -3134,8 +3154,9 @@ def range_scan_docs(out_dir: str, lo: str, hi: str,
     level in the scan by the truncated string zone maps; only admitted doc_id
     pages and the n_tok pages covering their matches are decoded (the
     range analogue of lookup_docs). The scan runs in the driver
-    (``concurrency`` has no effect). Returns a materialized Dataset in
-    bounded blocks (_admitted_scan)."""
+    (``concurrency`` has no effect). Returns an executed
+    MaterializedDataset in bounded blocks, which reads without starting a
+    Ray Data executor (_admitted_scan)."""
 
     def admits(row: dict) -> bool:
         return _zone_admits((row.get("stats") or {}).get("doc_id"),

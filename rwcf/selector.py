@@ -13,11 +13,14 @@ section is zstd-1 framed after the codec runs, and a codec that wins before
 zstd can lose after it (sequential doc ids are 2.7x smaller stored as plain
 than as FSST). The cheap estimates only shortlist: the best ``_FINALISTS``
 by estimate, plus plain, encode the sample and are ranked by the zstd-1
-bytes of that payload plus meta, scaled to the chunk. FSST is trained only
-when it can still win: one code byte stands in for at most 8 payload bytes,
-so when zstd alone already compresses the plain sample by ``_FSST_CEILING``
-or more, FSST training is skipped. With ``transport=None`` the ranking is
-the pre-transport estimate, as direct callers have always had it.
+bytes of that payload plus meta, scaled to the chunk. RLE leaves the
+finalists unencoded when no two adjacent sample values are equal
+(unique doc ids): each value would then pay its own run length.
+FSST is trained only when it can still win: one code byte stands in for
+at most 8 payload bytes, so when zstd alone already compresses the plain
+sample by ``_FSST_CEILING`` or more, FSST training is skipped. With
+``transport=None`` the ranking is the pre-transport estimate, as direct
+callers have always had it.
 
 When the chunk is no longer than ``_SAMPLE_VALUES`` the sample is the whole
 chunk, so the winning finalist's sample encode already is the chunk's
@@ -37,6 +40,7 @@ import pyarrow as pa
 
 from . import format as fmt
 from .codecs import REGISTRY
+from .codecs.rle import _runs_str
 
 _SAMPLE_SLICES = 4
 _SAMPLE_VALUES = 4096  # total sampled values across slices
@@ -97,6 +101,15 @@ def sample_chunk(chunk, dtype: str):
     return np.concatenate([vals[a:b] for a, b in spans])
 
 
+def _has_runs(sample, dtype: str) -> bool:
+    """Whether two adjacent values of ``sample`` are equal."""
+    if fmt.is_string(dtype):
+        lengths, payload = sample
+        return _runs_str(lengths, payload)[0].size < lengths.size
+    vals = np.asarray(sample)
+    return bool((vals[1:] == vals[:-1]).any())
+
+
 def _size_units(chunk, dtype: str) -> int:
     """Scale unit between a sample and its chunk: values for numbers,
     payload bytes plus one per string for strings."""
@@ -137,6 +150,10 @@ def choose_codec(chunk, dtype: str,
     ranked = sorted((c for c in estimates if math.isfinite(estimates[c])),
                     key=lambda c: (estimates[c], c))
     finalists = ranked[:_FINALISTS]
+    if "rle" in finalists and not _has_runs(sample, dtype):
+        # rle's payload is then plain's plus one run length per value;
+        # dictrle's own estimate is already inf without runs
+        finalists.remove("rle")
     if "plain" in ids and "plain" not in finalists:
         finalists.append("plain")
     scale = (max(1, _size_units(chunk, dtype))

@@ -1,12 +1,16 @@
 """The ingest hot path's kernels write the same bytes as the generic code
 they stand in for: whole-word bit-packing against the shift loop, the
 one-call footer page table against per-page varint calls, the selector's
-reused whole-chunk sample encode against a fresh chunk encode, and a
-perfbench-shaped ingest against a pinned digest of its stored bytes.
+reused whole-chunk sample encode against a fresh chunk encode, a
+perfbench-shaped ingest against a pinned digest of its stored bytes, and
+the manifest and tombstone writers' C-encoded JSON against json.dump.
 """
 
+import glob
 import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -187,3 +191,25 @@ def test_ingest_store_bytes_are_pinned(tmp_path, ray_session):
     pipeline.encode_job(src, pipeline.EncodeConfig(out_dir=out)).materialize()
     assert len(pipeline.load_manifest(out)) == 20
     assert _store_digests(out) == (PARTS_DIGEST, MANIFEST_DIGEST)
+
+
+def test_manifest_and_tombstone_text_is_json_dumps(tmp_path, ray_session):
+    """Manifest rows and tombstones are written with ``json.dumps`` (the
+    C encoder); the text is what ``json.dump`` wrote, for real rows."""
+    src = str(tmp_path / "in.parquet")
+    tbl = fixtures.tokens_table(300, 1)
+    pq.write_table(tbl, src, row_group_size=150)
+    out = str(tmp_path / "store")
+    pipeline.encode_job(src, pipeline.EncodeConfig(
+        out_dir=out, bloom_bits_per_key=10)).materialize()
+    doc = tbl.column("doc_id")[7].as_py()
+    assert pipeline.delete_docs(out, [doc])["rows_deleted"] == 1
+    paths = sorted(glob.glob(os.path.join(out, "manifest", "*.json")))
+    assert sum(p.endswith(".del.json") for p in paths) == 1
+    assert len(paths) == 3
+    for path in paths:
+        with open(path) as f:
+            text = f.read()
+        buf = io.StringIO()
+        json.dump(json.loads(text), buf)
+        assert buf.getvalue() == text, path

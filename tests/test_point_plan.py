@@ -7,8 +7,9 @@ tests check each against a filter over decode_job on a store that has a
 Bloom sidecar, a tombstone, an upsert and a snapshot, check which pids
 the scan receives, check that no point op starts a Ray job whatever its
 concurrency, that no point mutation builds a Ray Dataset, that merge_docs
-matches on doc_id pages alone, and that a reader's result reaches the
-object store in bounded blocks.
+matches on doc_id pages alone, that a reader's result reaches the
+object store in bounded blocks, and that reading it starts no Ray Data
+executor.
 """
 
 import shutil
@@ -468,6 +469,41 @@ def test_scan_result_blocks_are_bounded(shared_store, monkeypatch):
         rows = pa.concat_tables(blocks)
         assert sorted(zip(rows.column("doc_id").to_pylist(),
                           rows.column("n_tok").to_pylist())) == want
+
+
+def test_reading_a_point_result_starts_no_executor(shared_store,
+                                                  monkeypatch):
+    """lookup_docs and range_scan_docs return executed Datasets: reading
+    one through to_arrow_refs, count, to_pandas or schema builds no Ray
+    Data executor, for a hit, an all-miss result (one typed empty block)
+    and a result split into many blocks."""
+    from ray.data._internal.plan import ExecutionPlan
+    out, _snap = shared_store
+    keys = _keys(_decoded(out))
+    lo, hi = "doc-000000000010", "doc-000000000300"
+
+    def no_executor(*a, **k):
+        raise AssertionError("reading a point result built an executor")
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", no_executor)
+    ctx = DataContext.get_current()
+    for target in (None, 1):
+        if target is not None:
+            monkeypatch.setattr(ctx, "target_max_block_size", target)
+        for got, hit in ((pipeline.lookup_docs(out, keys), True),
+                         (pipeline.lookup_docs(out, ["zzz"]), False),
+                         (pipeline.range_scan_docs(out, lo, hi), True),
+                         (pipeline.range_scan_docs(out, "zzz", "zzzz"),
+                          False)):
+            assert isinstance(got, MaterializedDataset)
+            blocks = ray.get(got.to_arrow_refs())
+            rows = sum(b.num_rows for b in blocks)
+            assert (rows > 0) == hit
+            # a miss is one typed empty block; with a 1-byte target each
+            # partition that yielded rows is its own block
+            assert (len(blocks) > 1) == (hit and target is not None)
+            assert got.count() == rows == len(got.to_pandas())
+            assert got.schema().base_schema == blocks[0].schema
 
 
 def test_cluster_cpus_reads_the_session(ray_session, monkeypatch):

@@ -147,6 +147,33 @@ def test_transport_sequential_ids_pick_plain_without_fsst_training(monkeypatch):
     assert choice.estimate == int(choice.stored["plain"])
 
 
+def test_transport_skips_rle_encode_without_runs(monkeypatch):
+    """RLE is a cheap-estimate finalist on unique ids, but with no two
+    equal adjacent values it cannot beat plain: the selector drops it
+    without encoding the sample. A chunk with one run still tries it."""
+    from rwcf.codecs import REGISTRY
+    rle = REGISTRY["rle"]
+    calls = []
+    real = rle.encode
+
+    def spy(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(rle, "encode", spy)
+    ids = ["doc-%012d" % i for i in range(1000)]
+    choice = selector.choose_codec(mk_chunk(ids, "str"), "str",
+                                   transport="zstd-page")
+    assert math.isfinite(choice.estimates["rle"])
+    assert sorted(choice.estimates, key=choice.estimates.get)[:2] == \
+        ["plain", "rle"]
+    assert not calls and choice.codec == "plain"
+    assert list(choice.stored) == ["plain"]
+    choice = selector.choose_codec(mk_chunk(ids[:1] + ids[:-1], "str"),
+                                   "str", transport="zstd-page")
+    assert calls and "rle" in choice.stored
+
+
 def test_transport_prose_trains_fsst_and_picks_it(monkeypatch):
     from rwcf.codecs import REGISTRY, fsst
     calls = []
